@@ -1,6 +1,6 @@
 """Dense matrix primitives: vec, Kronecker product, commutation and
 diagonalization matrices, the diagonal selector, the scaled Frobenius norm,
-and a deterministic symmetric eigensolver.
+and the symmetric eigensolver (LAPACK, with a fixed order and sign rule).
 
 Matrices are plain 2-D float64 numpy arrays. All vectorized (p^2-dimensional)
 objects in this package use column-major stacking, so that
@@ -17,9 +17,6 @@ from .errors import ConvergenceError, InputError
 
 # K, D and J are materialized densely; p^2 x p^2 storage is capped here.
 MAX_DIMENSION = 128
-
-_EIGEN_REL_TOL = 1e-12
-_SWEEPS_PER_DIMENSION = 64
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -113,18 +110,15 @@ class EigenSystem:
         return self.values.size
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def symmetric_eigen(a: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Converges when the off-diagonal Frobenius norm falls below
-    ``1e-12 * ||A||_F``; raises :class:`ConvergenceError` naming the sweep
-    budget (``64 * p`` sweeps) otherwise. Output is deterministic for a fixed
-    input.
+    The input must be square, finite and symmetric within 1e-10 relative to
+    its largest entry; it is symmetrized before the call. Eigenvalues come in
+    descending order (ties keep LAPACK's order), and each eigenvector's sign
+    follows :class:`EigenSystem`. Raises :class:`ConvergenceError` when LAPACK
+    reports no convergence. Output is deterministic for a fixed input and
+    BLAS thread count.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -136,59 +130,14 @@ def symmetric_eigen(a: np.ndarray) -> EigenSystem:
     if amax > 0 and float(np.abs(a - a.T).max()) > 1e-10 * amax:
         raise InputError("matrix is not symmetric within 1e-10 relative tolerance")
 
-    work = 0.5 * (a + a.T)
-    vectors = np.eye(p)
-    fro = float(np.linalg.norm(work))
-    budget = _SWEEPS_PER_DIMENSION * p
-
-    if p > 1 and fro > 0.0:
-        for _ in range(budget):
-            if _off_diagonal_norm(work) <= _EIGEN_REL_TOL * fro:
-                break
-            for i in range(p - 1):
-                for j in range(i + 1, p):
-                    apq = work[i, j]
-                    if apq == 0.0:
-                        continue
-                    diff = work[j, j] - work[i, i]
-                    if abs(apq) < abs(diff) * 5e-151:
-                        # rotation angle below machine resolution; zeroing
-                        # the pivot is exact to working precision
-                        work[i, j] = 0.0
-                        work[j, i] = 0.0
-                        continue
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    gi = work[:, i].copy()
-                    gj = work[:, j].copy()
-                    work[:, i] = c * gi - s * gj
-                    work[:, j] = s * gi + c * gj
-                    gi = work[i, :].copy()
-                    gj = work[j, :].copy()
-                    work[i, :] = c * gi - s * gj
-                    work[j, :] = s * gi + c * gj
-                    work[i, j] = 0.0
-                    work[j, i] = 0.0
-                    gi = vectors[:, i].copy()
-                    gj = vectors[:, j].copy()
-                    vectors[:, i] = c * gi - s * gj
-                    vectors[:, j] = s * gi + c * gj
-        else:
-            if _off_diagonal_norm(work) > _EIGEN_REL_TOL * fro:
-                raise ConvergenceError(
-                    f"Jacobi eigensolver did not converge within {budget} sweeps"
-                )
-
-    values = np.diag(work).copy()
+    try:
+        values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(f"LAPACK symmetric eigensolver did not converge: {err}") from err
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
-    for k in range(p):
-        col = vectors[:, k]
-        if col[np.argmax(np.abs(col))] < 0.0:
-            vectors[:, k] = -col
+    if p:
+        peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(p)]
+        vectors = vectors * np.where(peaks < 0.0, -1.0, 1.0)
     return EigenSystem(values=values, vectors=vectors)

@@ -5,16 +5,86 @@ import pytest
 
 from bnsparsity import (
     ConvergenceError,
+    Dataset,
     InputError,
     commutation_matrix,
     diagonalization_matrix,
     kron,
+    run_basic_simulation,
     scaled_frobenius_sq,
     selector_matrix,
     symmetric_eigen,
     vec,
+    write_csv,
 )
+from bnsparsity.cli import main
 from bnsparsity.kernels import commutation_indices, unvec
+from conftest import random_suite
+
+
+def _jacobi_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference eigensolver: cyclic Jacobi rotations in Python loops.
+
+    Sweeps until the off-diagonal Frobenius norm is below 1e-12 * ||A||_F,
+    then applies the package's descending order and largest-entry-positive
+    sign rule. Slow (the loops hold the interpreter), but independent of
+    LAPACK.
+    """
+    work = 0.5 * (a + a.T)
+    p = work.shape[0]
+    vectors = np.eye(p)
+    fro = float(np.linalg.norm(work))
+
+    def off_diagonal_norm() -> float:
+        return float(np.linalg.norm(work - np.diag(np.diag(work))))
+
+    if p > 1 and fro > 0.0:
+        for _ in range(64 * p):
+            if off_diagonal_norm() <= 1e-12 * fro:
+                break
+            for i in range(p - 1):
+                for j in range(i + 1, p):
+                    apq = work[i, j]
+                    if apq == 0.0:
+                        continue
+                    diff = work[j, j] - work[i, i]
+                    if abs(apq) < abs(diff) * 5e-151:
+                        # rotation angle below machine resolution; zeroing
+                        # the pivot is exact to working precision
+                        work[i, j] = 0.0
+                        work[j, i] = 0.0
+                        continue
+                    theta = diff / (2.0 * apq)
+                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    s = t * c
+                    gi = work[:, i].copy()
+                    gj = work[:, j].copy()
+                    work[:, i] = c * gi - s * gj
+                    work[:, j] = s * gi + c * gj
+                    gi = work[i, :].copy()
+                    gj = work[j, :].copy()
+                    work[i, :] = c * gi - s * gj
+                    work[j, :] = s * gi + c * gj
+                    work[i, j] = 0.0
+                    work[j, i] = 0.0
+                    gi = vectors[:, i].copy()
+                    gj = vectors[:, j].copy()
+                    vectors[:, i] = c * gi - s * gj
+                    vectors[:, j] = s * gi + c * gj
+        assert off_diagonal_norm() <= 1e-12 * fro, "Jacobi reference did not converge"
+
+    values = np.diag(work).copy()
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = vectors[:, order]
+    for k in range(p):
+        col = vectors[:, k]
+        if col[np.argmax(np.abs(col))] < 0.0:
+            vectors[:, k] = -col
+    return values, vectors
 
 
 class TestVec:
@@ -227,6 +297,51 @@ class TestSymmetricEigen:
         np.testing.assert_array_equal(eig.values, np.zeros(3))
 
     def test_convergence_error_names_budget(self):
-        # A clean symmetric matrix always converges; exercise the message
-        # text by checking it is wired to the sweep cap.
+        # LAPACK converges on any finite symmetric matrix, so its failure is
+        # forced in test_lapack_failure_is_a_convergence_error; here check
+        # the exit code that failure maps to.
         assert ConvergenceError("x").exit_code == 3
+
+    def test_matches_jacobi_reference(self):
+        # Tolerances fixed beforehand: eigenvalues within 1e-10 * ||A||_F;
+        # eigenvectors within 1e-7 where both neighbouring eigengaps exceed
+        # 1e-4 * ||A||_F (a vector is only defined up to its gaps).
+        rng = np.random.default_rng(14)
+        matrices = []
+        for p in (2, 6, 20):
+            m = rng.standard_normal((p, p))
+            matrices.append(m + m.T)
+        for p in (5, 20, 40):
+            suite, _ = random_suite(rng, p=p, n=200)
+            matrices.append(suite.normalized_precision)
+        compared = 0
+        for a in matrices:
+            fro = float(np.linalg.norm(a))
+            ref_values, ref_vectors = _jacobi_eigen(a)
+            eig = symmetric_eigen(a)
+            assert np.abs(eig.values - ref_values).max() <= 1e-10 * fro
+            gaps = np.concatenate(([np.inf], -np.diff(ref_values), [np.inf]))
+            separated = np.minimum(gaps[:-1], gaps[1:]) > 1e-4 * fro
+            assert np.abs(eig.vectors - ref_vectors)[:, separated].max(initial=0.0) <= 1e-7
+            compared += int(separated.sum())
+        assert compared >= 80  # all 93 eigenvectors are separated at these seeds
+
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch, tmp_path, capsys):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(ConvergenceError):
+            symmetric_eigen(np.eye(3))
+
+        report = run_basic_simulation(
+            "sim1", replicates=50, seed=5, models=("A",), n_values=(40,), p=5
+        )
+        (row,) = report.rows
+        assert row.failures == row.requested == 50 and row.completed == 0
+
+        path = tmp_path / "data.csv"
+        write_csv(Dataset(values=np.random.default_rng(15).standard_normal((40, 5))), path)
+        assert main(["test", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "Traceback" not in err
