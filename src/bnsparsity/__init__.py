@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .asymptotics import (
     PROPAGATOR_FORMS,
-    AsymptoticCovariances,
+    AsymptoticScalars,
     build_asymptotics,
     eigenvalue_cov,
     eigenvalue_gradients,
@@ -80,7 +80,7 @@ from .trees import (
 
 __all__ = [
     "__version__",
-    "AsymptoticCovariances",
+    "AsymptoticScalars",
     "PROPAGATOR_FORMS",
     "BnSparsityError",
     "ConvergenceError",

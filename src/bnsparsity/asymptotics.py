@@ -7,6 +7,12 @@ inversion and diagonal normalization via a propagation factor ``G`` so that
 ``Cov(vec of normalized precision) ~ G.T V G / divisor``; a final projection
 onto eigenvalue gradients gives the eigenvalue covariance.
 
+The test needs only a few numbers from that covariance C: its trace, the
+variance of the top eigenvalue and p - 1 quadratic forms for the bias term.
+``build_asymptotics`` computes G by the dense Cholesky solve and then those
+numbers from p x p products (``_vec_cov_forms``), never forming V, V G or
+C. The dense functions below are the oracle for it.
+
 The delta-method functions (``normalization_propagator``,
 ``propagation_vec_cov``, ``normalized_precision_cov``, ``eigenvalue_cov``)
 default to ``form="exact"``, the quantity named above. The test pipeline
@@ -96,12 +102,15 @@ def _normalization_jacobian(suite: CovarianceSuite) -> np.ndarray:
     pd = suite.precision_diag
     inv_sqrt = 1.0 / np.sqrt(pd)
     scaled = suite.normalized_precision * (1.0 / pd)[None, :]
-    # (I (x) scaled) D is nonzero only in the diagonal-position columns.
-    m = np.zeros((p * p, p * p))
+    # (I (x) scaled) D, and with it the curvature term, is nonzero only in
+    # the diagonal-position columns, so it is built as their p^2 x p block.
+    diag_cols = np.arange(p) * (p + 1)
+    m = np.zeros((p * p, p))
     for i in range(p):
-        m[i * p : (i + 1) * p, i * (p + 1)] = scaled[:, i]
+        m[i * p : (i + 1) * p, i] = scaled[:, i]
     m = m + m[commutation_indices(p), :]
-    jac = np.diag(np.kron(inv_sqrt, inv_sqrt)) - 0.5 * m
+    jac = np.diag(np.kron(inv_sqrt, inv_sqrt))
+    jac[:, diag_cols] = jac[:, diag_cols] - 0.5 * m
     return jac
 
 
@@ -121,9 +130,8 @@ def normalization_propagator(suite: CovarianceSuite, form: str = "exact") -> np.
     """
     _check_form(form)
     work = _form_suite(suite, form)
-    big = kron(work.covariance, work.covariance)
     try:
-        factor = cho_factor(big, lower=True)
+        factor = cho_factor(kron(work.covariance, work.covariance), lower=True)
     except LinAlgError:
         raise SingularityError("S (x) S is not positive definite") from None
     jac = _normalization_jacobian(work)
@@ -138,13 +146,6 @@ def propagation_vec_cov(suite: CovarianceSuite, form: str = "exact") -> np.ndarr
     return gaussian_vec_cov(_form_suite(suite, form).covariance)
 
 
-def _vec_cov_times(sigma: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Compute ``gaussian_vec_cov(sigma) @ m`` without forming V densely."""
-    p = sigma.shape[0]
-    sm = kron(sigma, sigma) @ m
-    return sm + sm[commutation_indices(p), :]
-
-
 def normalized_precision_cov(
     suite: CovarianceSuite, n: int, divisor: str = "nminusp", form: str = "exact"
 ) -> np.ndarray:
@@ -153,9 +154,8 @@ def normalized_precision_cov(
     test pipeline's inflated matrix instead, which is not this covariance
     (see ``PROPAGATOR_FORMS``)."""
     div = divisor_value(n, suite.p, divisor)
-    work = _form_suite(suite, _check_form(form))
     g = normalization_propagator(suite, form)
-    s = g.T @ _vec_cov_times(work.covariance, g) / div
+    s = g.T @ propagation_vec_cov(suite, form) @ g / div
     return 0.5 * (s + s.T)
 
 
@@ -185,15 +185,43 @@ def eigenvalue_cov(
     return 0.5 * (out + out.T)
 
 
-@dataclass(frozen=True)
-class AsymptoticCovariances:
-    """All plug-in covariance pieces for one dataset, sharing one divisor."""
+# The trace takes G's columns in batches of about 2**16 entries (512 KB),
+# which keeps the temporaries in cache: at p = 60 this was 2x faster than
+# one batch of all p^2 columns.
+_TRACE_BATCH_ENTRIES = 1 << 16
 
-    vec_cov: np.ndarray
-    propagator: np.ndarray
-    gradients: np.ndarray
-    normalized_precision_cov: np.ndarray
-    eigenvalue_cov: np.ndarray
+
+def _vec_cov_forms(sigma: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``u.T @ gaussian_vec_cov(sigma) @ u`` for each column u of ``cols``,
+    from p x p products instead of the p^2 x p^2 matrix.
+
+    With U = unvec(u) and Y = U + U.T, ``(I + K)(S (x) S) u = vec(S Y S)``,
+    so the form is ``tr(U.T S Y S) = tr(Y S Y S) / 2``, and ``Y S`` is one
+    row-stacked product for the whole batch. The vec order does not matter:
+    both sides are invariant under U -> U.T.
+    """
+    p = sigma.shape[0]
+    y = cols.T.reshape(-1, p, p)
+    y = y + y.transpose(0, 2, 1)
+    ys = (y.reshape(-1, p) @ sigma).reshape(-1, p, p)
+    return 0.5 * np.einsum("kij,kji->k", ys, ys)
+
+
+@dataclass(frozen=True)
+class AsymptoticScalars:
+    """The numbers the test uses from the plug-in covariance
+    ``C = G.T V G / divisor`` of the vectorized normalized precision.
+
+    ``cov_trace`` is tr C (shrinkage intensity), ``top_variance`` is
+    ``(w_1 (x) w_1).T C (w_1 (x) w_1)``, the plug-in variance of the top
+    eigenvalue, and ``cross_terms[j - 2]`` is ``(w_j (x) w_1).T C
+    (w_j (x) w_1)`` for j = 2..p, the numerators of the top eigenvalue's
+    bias term.
+    """
+
+    cov_trace: float
+    top_variance: float
+    cross_terms: np.ndarray
     divisor: int
 
 
@@ -203,25 +231,32 @@ def build_asymptotics(
     n: int,
     divisor: str = "nminusp",
     form: str = "conservative",
-) -> AsymptoticCovariances:
-    """Compute every plug-in covariance once, reusing shared factors.
+) -> AsymptoticScalars:
+    """The test's plug-in scalars, without forming C or V.
+
+    G comes from ``normalization_propagator`` (a dense Cholesky solve
+    against ``S (x) S``). Each needed quadratic form of C is a form of V at
+    a column of G, or at G applied to an eigenvector product, which
+    ``_vec_cov_forms`` reduces to p x p products.
 
     This is the test pipeline's entry point, so ``form`` defaults to
     "conservative" here, unlike the standalone delta-method functions.
     """
     div = divisor_value(n, suite.p, divisor)
-    v = propagation_vec_cov(suite, form)
     g = normalization_propagator(suite, form)
-    omega_cov = g.T @ (v @ g) / div
-    omega_cov = 0.5 * (omega_cov + omega_cov.T)
-    grads = eigenvalue_gradients(eig)
-    lam_cov = grads.T @ omega_cov @ grads
-    lam_cov = 0.5 * (lam_cov + lam_cov.T)
-    return AsymptoticCovariances(
-        vec_cov=v,
-        propagator=g,
-        gradients=grads,
-        normalized_precision_cov=omega_cov,
-        eigenvalue_cov=lam_cov,
+    sigma = _form_suite(suite, form).covariance
+    p2 = g.shape[1]
+    batch = max(1, _TRACE_BATCH_ENTRIES // p2)
+    trace = sum(
+        float(_vec_cov_forms(sigma, g[:, k : k + batch]).sum())
+        for k in range(0, p2, batch)
+    )
+    # column j is w_j (x) w_1
+    directions = np.kron(eig.vectors, eig.vectors[:, :1])
+    forms = _vec_cov_forms(sigma, g @ directions) / div
+    return AsymptoticScalars(
+        cov_trace=trace / div,
+        top_variance=float(forms[0]),
+        cross_terms=forms[1:],
         divisor=div,
     )

@@ -5,7 +5,12 @@ The sample top eigenvalue is biased upward by roughly
 ``sum_j (w_j (x) w_i).T C (w_j (x) w_i) / (lambda_i - lambda_j)`` where C is
 the plug-in covariance of the vectorized matrix; subtracting the plug-in sum
 removes the second-order bias. Terms whose eigenvalue gap falls below a
-tolerance are skipped and flagged instead of amplifying noise.
+tolerance are skipped and flagged instead of amplifying noise; that rule
+lives in ``_gap_weighted_sum``.
+
+The test path never forms C: ``corrected_top_eigenvalue`` takes the
+numerators from ``AsymptoticScalars.cross_terms``. ``bias_term`` computes
+them from a dense C, for any target eigenvalue, and is the oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import AsymptoticScalars
 from .errors import InputError
 from .kernels import EigenSystem
 from .shrinkage import ShrinkageEstimate
@@ -23,13 +29,42 @@ def default_gap_tolerance(p: int) -> float:
     return 1e-6 * p
 
 
+def _gap_weighted_sum(
+    eig: EigenSystem,
+    cross_terms: np.ndarray | list[float],
+    target_index: int,
+    gap_tolerance: float | None,
+) -> tuple[float, bool]:
+    """``sum_j cross_terms[j] / (lambda_i - lambda_j)`` over j != i in
+    increasing order, i the 1-based ``target_index``; ``cross_terms`` holds
+    the p - 1 quadratic forms ``(w_j (x) w_i).T C (w_j (x) w_i)`` in that
+    order. Terms whose gap is below the tolerance are skipped, and the
+    returned flag says whether any was.
+    """
+    p = eig.p
+    if gap_tolerance is None:
+        gap_tolerance = default_gap_tolerance(p)
+    i = target_index - 1
+    total = 0.0
+    warned = False
+    others = (j for j in range(p) if j != i)
+    for j, form in zip(others, cross_terms):
+        gap = eig.values[i] - eig.values[j]
+        if abs(gap) < gap_tolerance:
+            warned = True
+            continue
+        total += float(form) / gap
+    return total, warned
+
+
 def bias_term(
     eig: EigenSystem,
     cov: np.ndarray,
     target_index: int = 1,
     gap_tolerance: float | None = None,
 ) -> tuple[float, bool]:
-    """Second-order bias of the ``target_index``-th (1-based) eigenvalue.
+    """Second-order bias of the ``target_index``-th (1-based) eigenvalue,
+    from the dense plug-in covariance ``cov`` of the vectorized matrix.
 
     Returns ``(value, gap_warning)``; the warning is set when any pairwise
     gap fell below the tolerance and that term was skipped. For the top
@@ -39,22 +74,14 @@ def bias_term(
     p = eig.p
     if not 1 <= target_index <= p:
         raise InputError(f"target index must be in [1, {p}], got {target_index}")
-    if gap_tolerance is None:
-        gap_tolerance = default_gap_tolerance(p)
     i = target_index - 1
     w_i = eig.vectors[:, i]
-    total = 0.0
-    warned = False
+    cross = []
     for j in range(p):
-        if j == i:
-            continue
-        gap = eig.values[i] - eig.values[j]
-        if abs(gap) < gap_tolerance:
-            warned = True
-            continue
-        w = np.kron(eig.vectors[:, j], w_i)
-        total += float(w @ (cov @ w)) / gap
-    return total, warned
+        if j != i:
+            w = np.kron(eig.vectors[:, j], w_i)
+            cross.append(float(w @ (cov @ w)))
+    return _gap_weighted_sum(eig, cross, target_index, gap_tolerance)
 
 
 @dataclass(frozen=True)
@@ -75,24 +102,21 @@ class CorrectedEigenvalue:
 def corrected_top_eigenvalue(
     eig: EigenSystem,
     shrinkage_est: ShrinkageEstimate,
-    cov: np.ndarray,
+    asym: AsymptoticScalars,
     gap_tolerance: float | None = None,
-    target_index: int = 1,
 ) -> CorrectedEigenvalue:
-    """Combine the shrunk eigenvalue with the second-order correction.
-
-    Defaults to the top eigenvalue (the test path); other targets are
-    available for replication studies but are unreliable when the small
-    eigenvalues cluster.
+    """Combine the shrunk top eigenvalue with its second-order correction,
+    whose numerators are ``asym.cross_terms``. Other targets need the dense
+    covariance; ``bias_term`` takes it.
     """
     if eig.p < 2:
         raise InputError("correction needs p >= 2 (no cross terms exist at p = 1)")
-    bias, warned = bias_term(eig, cov, target_index, gap_tolerance)
+    bias, warned = _gap_weighted_sum(eig, asym.cross_terms, 1, gap_tolerance)
     rho = shrinkage_est.intensity
-    lam = float(eig.values[target_index - 1])
-    lam_shrunk = float(shrinkage_est.shrunk_eigenvalues[target_index - 1])
+    lam = float(eig.values[0])
+    lam_shrunk = float(shrinkage_est.shrunk_eigenvalues[0])
     return CorrectedEigenvalue(
-        target_index=target_index,
+        target_index=1,
         bias=bias,
         corrected=lam - bias,
         corrected_shrunk=lam_shrunk - (1.0 - rho) * bias,

@@ -1,8 +1,9 @@
 """Stein-type shrinkage of the normalized precision toward the identity.
 
 The intensity minimizing the expected scaled Frobenius loss is estimable as
-``trace(cov) / (trace(cov) + sum(lambda^2) - p)``, where ``cov`` is the
-plug-in covariance of the vectorized normalized precision. Shrinking the
+``tr C / (tr C + sum(lambda^2) - p)``, where C is the plug-in covariance of
+the vectorized normalized precision; ``build_asymptotics`` computes its
+trace without forming C (``AsymptoticScalars.cov_trace``). Shrinking the
 matrix shrinks its eigenvalues by the same affine map and keeps the
 eigenvectors, so no second eigendecomposition is needed.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import AsymptoticCovariances
+from .asymptotics import AsymptoticScalars
 from .covariance import CovarianceSuite
 from .errors import InputError
 from .kernels import EigenSystem
@@ -60,14 +61,14 @@ class ShrinkageEstimate:
 
 
 def shrink(
-    suite: CovarianceSuite, eig: EigenSystem, asym: AsymptoticCovariances
+    suite: CovarianceSuite, eig: EigenSystem, asym: AsymptoticScalars
 ) -> ShrinkageEstimate:
     """Shrink the normalized precision toward the identity.
 
     The shrunk eigenvalues are ``(1 - rho) * lambda + rho`` with the same
     eigenvectors; their sum stays p and their ordering is preserved.
     """
-    trace = float(np.trace(asym.normalized_precision_cov))
+    trace = asym.cov_trace
     rho = shrinkage_intensity(trace, eig.values)
     p = suite.p
     shrunk = (1.0 - rho) * suite.normalized_precision + rho * np.eye(p)

@@ -139,10 +139,8 @@ def max_parents_test(
     eig = normalized_precision_eigen(suite)
     asym = build_asymptotics(suite, eig, data.n, divisor, form)
     shrunk = shrink(suite, eig, asym)
-    corrected = corrected_top_eigenvalue(
-        eig, shrunk, asym.normalized_precision_cov, gap_tolerance
-    )
-    top_var = float(asym.eigenvalue_cov[0, 0])
+    corrected = corrected_top_eigenvalue(eig, shrunk, asym, gap_tolerance)
+    top_var = asym.top_variance
     sigma = (1.0 - shrunk.intensity) * float(np.sqrt(max(top_var, 0.0)))
     if sigma <= 0.0:
         raise DegenerateVarianceError(

@@ -62,10 +62,17 @@ class FittedTree:
         return "\n".join(lines) + "\n"
 
 
-def _mutual_information_matrix(values: np.ndarray) -> np.ndarray:
-    n, p = values.shape
+def _centered_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     centered = values - values.mean(axis=0)
-    std = np.sqrt((centered * centered).mean(axis=0))
+    return centered, np.sqrt((centered * centered).mean(axis=0))
+
+
+def _mutual_information_matrix(values: np.ndarray) -> np.ndarray:
+    return _mi_from_centered(*_centered_and_std(values))
+
+
+def _mi_from_centered(centered: np.ndarray, std: np.ndarray) -> np.ndarray:
+    n, p = centered.shape
     usable = std > 0.0
     mi = np.zeros((p, p))
     if usable.sum() >= 2:
@@ -88,14 +95,13 @@ def chow_liu(data: Dataset) -> FittedTree:
         raise InputError(f"tree fitting needs n >= 3 samples, got {data.n}")
     if data.p < 2:
         raise InputError(f"tree fitting needs p >= 2 variables, got {data.p}")
-    centered = data.values - data.values.mean(axis=0)
-    std = np.sqrt((centered * centered).mean(axis=0))
+    centered, std = _centered_and_std(data.values)
     for idx in np.flatnonzero(std == 0.0):
         warnings.warn(
             f"column {data.names()[idx]!r} is constant; leaving its vertex isolated",
             stacklevel=2,
         )
-    mi = _mutual_information_matrix(data.values)
+    mi = _mi_from_centered(centered, std)
 
     p = data.p
     candidates = sorted(

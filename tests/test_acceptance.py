@@ -212,7 +212,7 @@ def test_criterion_05_eigenvalue_variance_tracking():
         eig = normalized_precision_eigen(suite)
         asym = build_asymptotics(suite, eig, n)
         tops[r] = eig.values[0]
-        plug_in[r] = asym.eigenvalue_cov[0, 0]
+        plug_in[r] = asym.top_variance
     ratio = tops.var() / plug_in.mean()
     elapsed = time.perf_counter() - start
     report(
@@ -236,7 +236,7 @@ def test_criterion_06_bias_panel():
         eig = normalized_precision_eigen(suite)
         asym = build_asymptotics(suite, eig, n)
         shr = shrink(suite, eig, asym)
-        corr = corrected_top_eigenvalue(eig, shr, asym.normalized_precision_cov)
+        corr = corrected_top_eigenvalue(eig, shr, asym)
         raw[r] = eig.values[0]
         combined[r] = corr.corrected_shrunk
     raw_bias = raw.mean() - 2.0
@@ -264,7 +264,7 @@ def test_criterion_07_shrinkage_invariants():
         eig = normalized_precision_eigen(suite)
         asym = build_asymptotics(suite, eig, data.n)
         shr = shrink(suite, eig, asym)
-        corr = corrected_top_eigenvalue(eig, shr, asym.normalized_precision_cov)
+        corr = corrected_top_eigenvalue(eig, shr, asym)
         rho = shr.intensity
         assert 0.0 < rho <= 1.0
         assert abs(shr.shrunk_eigenvalues.sum() - p) <= 1e-10
@@ -305,7 +305,7 @@ def test_criterion_08_intensity_consistency():
             suite = build_suite(data)
             eig = normalized_precision_eigen(suite)
             asym = build_asymptotics(suite, eig, n)  # n - p divisor
-            trace_conservative = float(np.trace(asym.normalized_precision_cov))
+            trace_conservative = asym.cov_trace
             estimates["nminusp"][r] = shrinkage_intensity(trace_conservative, eig.values)
             estimates["n"][r] = shrinkage_intensity(
                 trace_conservative * (n - 20) / n, eig.values

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from bnsparsity import (
+    PROPAGATOR_FORMS,
     InputError,
     InsufficientSampleError,
+    bias_term,
     build_asymptotics,
     build_suite,
     commutation_matrix,
+    corrected_top_eigenvalue,
     diagonalization_matrix,
     eigenvalue_cov,
     eigenvalue_gradients,
@@ -19,10 +22,11 @@ from bnsparsity import (
     normalization_propagator,
     normalized_precision_cov,
     normalized_precision_eigen,
+    shrink,
     suite_from_covariance,
     vec,
 )
-from bnsparsity.asymptotics import divisor_value
+from bnsparsity.asymptotics import DIVISOR_MODES, divisor_value
 from conftest import chain_dag, gaussian_dataset, random_suite
 
 
@@ -185,10 +189,11 @@ class TestEigenvalueCov:
     def test_consistency_with_gradient_projection(self, rng):
         suite, data = random_suite(rng, p=4, n=150)
         eig = normalized_precision_eigen(suite)
-        asym = build_asymptotics(suite, eig, data.n)
+        cov = normalized_precision_cov(suite, data.n, form="conservative")
+        lam_cov = eigenvalue_cov(suite, eig, data.n, form="conservative")
         grads = eigenvalue_gradients(eig)
-        projected = grads.T @ asym.normalized_precision_cov @ grads
-        assert np.abs(projected - asym.eigenvalue_cov).max() <= 1e-12
+        projected = grads.T @ cov @ grads
+        assert np.abs(projected - lam_cov).max() <= 1e-12
 
     def test_gradients_match_dense_construction(self, rng):
         suite, _ = random_suite(rng, p=3, n=100)
@@ -223,3 +228,46 @@ class TestEigenvalueCov:
         assert asym.divisor == 100
         asym_n = build_asymptotics(suite, eig, data.n, divisor="n")
         assert asym_n.divisor == 104
+
+
+class TestScalarPathMatchesDenseOracle:
+    """``build_asymptotics`` computes the test's scalars without forming the
+    p^2 x p^2 covariance; the dense functions are its oracle."""
+
+    def _assert_matches(self, suite, eig, n):
+        for form in PROPAGATOR_FORMS:
+            for divisor in DIVISOR_MODES:
+                asym = build_asymptotics(suite, eig, n, divisor, form)
+                cov = normalized_precision_cov(suite, n, divisor, form)
+                assert asym.divisor == divisor_value(n, suite.p, divisor)
+                assert asym.cov_trace == pytest.approx(np.trace(cov), rel=1e-10)
+                top = eigenvalue_cov(suite, eig, n, divisor, form)[0, 0]
+                assert asym.top_variance == pytest.approx(top, rel=1e-10)
+                corrected = corrected_top_eigenvalue(eig, shrink(suite, eig, asym), asym)
+                bias, warned = bias_term(eig, cov)
+                assert corrected.bias == pytest.approx(bias, rel=1e-10)
+                assert corrected.gap_warning == warned
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 12])
+    def test_random_suites(self, rng, p):
+        for _ in range(3):
+            suite, data = random_suite(
+                rng, p=p, n=10 * p + 20, max_in_degree=min(2, p - 1)
+            )
+            self._assert_matches(suite, normalized_precision_eigen(suite), data.n)
+
+    def test_kind_a_near_p(self, rng):
+        suite, data = random_suite(rng, p=20, n=30)
+        self._assert_matches(suite, normalized_precision_eigen(suite), data.n)
+
+    def test_repeated_top_eigenvalue_is_skipped(self):
+        # equicorrelation: the normalized precision's top eigenvalue has
+        # multiplicity p - 1, so the gap to lambda_2 is skipped and flagged
+        p = 5
+        suite = suite_from_covariance(0.6 * np.eye(p) + 0.4 * np.ones((p, p)))
+        eig = normalized_precision_eigen(suite)
+        assert eig.values[0] - eig.values[1] < 1e-12
+        asym = build_asymptotics(suite, eig, 60)
+        corrected = corrected_top_eigenvalue(eig, shrink(suite, eig, asym), asym)
+        assert corrected.gap_warning
+        self._assert_matches(suite, eig, 60)

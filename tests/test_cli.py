@@ -1,8 +1,10 @@
 """Command-line surface: outputs, exit codes, determinism, manifests."""
 
 import json
+import os
 
 import numpy as np
+import scipy
 
 from bnsparsity import Dataset, read_csv, write_csv
 from bnsparsity.cli import main
@@ -37,6 +39,12 @@ class TestSimulate:
         assert len(edges) == 19  # spanning tree at max in-degree 1
         manifest = json.loads((tmp_path / "data.manifest.json").read_text())
         assert manifest["command"] == "simulate" and manifest["seed"] == 1
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas_name"] == blas["name"]
+        assert manifest["blas_version"] == blas["version"]
+        assert manifest["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
 
     def test_same_seed_identical_bytes(self, tmp_path):
         a = tmp_path / "a.csv"

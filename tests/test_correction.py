@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bnsparsity import (
+    AsymptoticScalars,
     EigenSystem,
     InputError,
     ShrinkageEstimate,
@@ -13,6 +14,7 @@ from bnsparsity import (
     build_asymptotics,
     build_suite,
     corrected_top_eigenvalue,
+    normalized_precision_cov,
     normalized_precision_eigen,
     sample_dataset,
     shrink,
@@ -24,6 +26,20 @@ from conftest import random_suite
 def _plain_eigensystem(values):
     values = np.asarray(values, dtype=float)
     return EigenSystem(values=values, vectors=np.eye(values.size))
+
+
+def _dense_scalars(eig, cov):
+    """The record ``build_asymptotics`` gives for a dense covariance."""
+    top = eig.vectors[:, 0]
+    forms = [
+        float(np.kron(w, top) @ cov @ np.kron(w, top)) for w in eig.vectors.T
+    ]
+    return AsymptoticScalars(
+        cov_trace=float(np.trace(cov)),
+        top_variance=forms[0],
+        cross_terms=np.array(forms[1:]),
+        divisor=1,
+    )
 
 
 def _synthetic_shrinkage(intensity, eig):
@@ -59,8 +75,8 @@ class TestBiasTerm:
         for _ in range(20):
             suite, data = random_suite(rng, p=4, n=80)
             eig = normalized_precision_eigen(suite)
-            asym = build_asymptotics(suite, eig, data.n)
-            value, _ = bias_term(eig, asym.normalized_precision_cov)
+            cov = normalized_precision_cov(suite, data.n, form="conservative")
+            value, _ = bias_term(eig, cov)
             assert value >= 0.0
 
     def test_gap_warning_on_clustered_smallest(self):
@@ -82,21 +98,21 @@ class TestCorrectedTopEigenvalue:
     def test_zero_bias_keeps_estimates(self):
         eig = _plain_eigensystem([1.5, 0.5])
         shr = _synthetic_shrinkage(0.25, eig)
-        out = corrected_top_eigenvalue(eig, shr, np.zeros((4, 4)))
+        out = corrected_top_eigenvalue(eig, shr, _dense_scalars(eig, np.zeros((4, 4))))
         assert out.corrected == eig.values[0]
         assert out.corrected_shrunk == shr.shrunk_eigenvalues[0]
 
     def test_full_shrinkage_pins_to_one(self):
         eig = _plain_eigensystem([1.5, 0.5])
         shr = _synthetic_shrinkage(1.0, eig)
-        out = corrected_top_eigenvalue(eig, shr, 0.3 * np.eye(4))
+        out = corrected_top_eigenvalue(eig, shr, _dense_scalars(eig, 0.3 * np.eye(4)))
         assert out.corrected_shrunk == pytest.approx(1.0, abs=1e-15)
 
     def test_requires_two_variables(self):
         eig = _plain_eigensystem([1.0])
         shr = _synthetic_shrinkage(0.5, eig)
         with pytest.raises(InputError):
-            corrected_top_eigenvalue(eig, shr, np.zeros((1, 1)))
+            corrected_top_eigenvalue(eig, shr, _dense_scalars(eig, np.zeros((1, 1))))
 
     def test_affine_consistency(self, rng):
         for _ in range(30):
@@ -104,7 +120,7 @@ class TestCorrectedTopEigenvalue:
             eig = normalized_precision_eigen(suite)
             asym = build_asymptotics(suite, eig, data.n)
             shr = shrink(suite, eig, asym)
-            out = corrected_top_eigenvalue(eig, shr, asym.normalized_precision_cov)
+            out = corrected_top_eigenvalue(eig, shr, asym)
             rho = shr.intensity
             identity = (1.0 - rho) * (eig.values[0] - out.bias) + rho
             assert abs(out.corrected_shrunk - identity) <= 1e-12
@@ -123,8 +139,8 @@ class TestCorrectedTopEigenvalue:
             data = sample_dataset(model, n, rng=rng)
             suite = build_suite(data)
             eig = normalized_precision_eigen(suite)
-            asym = build_asymptotics(suite, eig, n)
-            value, _ = bias_term(eig, asym.normalized_precision_cov)
+            cov = normalized_precision_cov(suite, n, form="conservative")
+            value, _ = bias_term(eig, cov)
             raw[r] = eig.values[0]
             corrected[r] = eig.values[0] - value
         assert abs(corrected.mean() - top_truth) < abs(raw.mean() - top_truth)
