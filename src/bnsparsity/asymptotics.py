@@ -31,6 +31,8 @@ from .covariance import CovarianceSuite
 from .errors import InputError, InsufficientSampleError, SingularityError
 from .kernels import EigenSystem, commutation_indices, kron
 
+# The first entry of DIVISOR_MODES and of PROPAGATOR_FORMS is the test
+# pipeline's default.
 DIVISOR_MODES = ("nminusp", "n")
 
 # Propagation-factor forms. "exact" (default of the delta-method functions)

@@ -18,22 +18,26 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .asymptotics import DIVISOR_MODES, PROPAGATOR_FORMS
 from .covariance import Dataset, read_csv, write_csv
 from .errors import BnSparsityError, InputError
 from .manifest import make_manifest, write_manifest
-from .montecarlo import TABLES, run_basic_simulation, run_power_study
-from .simulate import MODEL_KINDS, random_model, sample_dataset
+from .montecarlo import DEFAULT_N_VALUES, TABLES, run_basic_simulation, run_power_study
+from .simulate import MODEL_KINDS, fresh_seed, random_model, sample_dataset
 from .sparsity import max_parents_test, student_t_quantile
 from .trees import chow_liu, paired_permutation_equality
 
 
-def _fresh_seed() -> int:
-    return int(np.random.SeedSequence().entropy % (2**63))
+def _write_manifest(args, *paths: Path) -> None:
+    """Write the manifest of every option to each distinct path. Commands
+    call it after filling in every value they chose."""
+    manifest = make_manifest(vars(args))
+    for path in dict.fromkeys(paths):
+        write_manifest(path, manifest)
 
 
-def _artifact_manifest(out_path: Path, command: str, parameters: dict, seed, divisor="nminusp", gap_tolerance=None):
-    manifest = make_manifest(command, parameters, seed, divisor, gap_tolerance)
-    write_manifest(out_path.with_suffix(".manifest.json"), manifest)
+def _beside(artifact) -> Path:
+    return Path(artifact).with_suffix(".manifest.json")
 
 
 def _cmd_test(args) -> int:
@@ -68,22 +72,13 @@ def _cmd_test(args) -> int:
     if args.json_out:
         out = Path(args.json_out)
         out.write_text(result.to_json() + "\n", encoding="utf-8")
-        _artifact_manifest(
-            out,
-            "test",
-            {"csv": str(args.csv), "alpha": args.alpha, "gap_tol": args.gap_tol,
-             "form": args.form},
-            None,
-            args.divisor,
-            args.gap_tol,
-        )
+        _write_manifest(args, _beside(out))
         print(f"  wrote {out}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     model = random_model(args.model, args.p, args.max_indegree, rng=rng, density=args.density)
     raw = sample_dataset(model, args.n, rng=rng)
     data = Dataset(values=raw.values, variable_names=raw.names())
@@ -91,31 +86,28 @@ def _cmd_simulate(args) -> int:
     write_csv(data, out)
     edges_path = out.with_suffix(".edges")
     edges_path.write_text(model.dag.to_edge_list(), encoding="utf-8")
+    written = [out]
     if args.dot_out:
-        Path(args.dot_out).write_text(model.dag.to_dot(data.names()), encoding="utf-8")
-    _artifact_manifest(
-        out,
-        "simulate",
-        {
-            "model": model.kind,
-            "p": args.p,
-            "n": args.n,
-            "max_indegree": args.max_indegree,
-            "density": args.density,
-        },
-        seed,
-    )
+        dot = Path(args.dot_out)
+        dot.write_text(model.dag.to_dot(data.names()), encoding="utf-8")
+        written.append(dot)
+    _write_manifest(args, *map(_beside, written))
     print(f"wrote {out} ({args.n}x{args.p}), edge list {edges_path} "
-          f"({model.dag.edge_count} edges), seed {seed}")
+          f"({model.dag.edge_count} edges), seed {args.seed}")
     return 0
 
 
 def _cmd_reproduce(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    if args.n is None:
+        args.n = list(DEFAULT_N_VALUES)
+    if args.replicates is None:
+        args.replicates = 300 if args.table == "power" else 400
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_values = tuple(args.n) if args.n else (30, 50, 100, 500)
-    models = tuple(args.models.replace(",", "")) if args.models else ("A", "B", "C", "D", "E")
+    common = dict(
+        seed=args.seed, n_values=tuple(args.n), alpha=args.alpha, divisor=args.divisor,
+        form=args.form, threads=args.threads,
+    )
     if args.table == "power":
         if args.replicates * args.chains < 50:
             raise InputError(
@@ -123,51 +115,21 @@ def _cmd_reproduce(args) -> int:
                 f"{args.replicates} x {args.chains}"
             )
         report = run_power_study(
-            replicates_per_graph=args.replicates,
-            seed=seed,
-            n_values=n_values,
-            steps=args.steps,
-            chains=args.chains,
-            alpha=args.alpha,
-            divisor=args.divisor,
-            form=args.form,
-            threads=args.threads,
+            replicates_per_graph=args.replicates, steps=args.steps, chains=args.chains,
+            **common,
         )
     else:
         report = run_basic_simulation(
-            args.table,
-            replicates=args.replicates,
-            seed=seed,
-            models=models,
-            n_values=n_values,
-            alpha=args.alpha,
-            divisor=args.divisor,
-            form=args.form,
-            threads=args.threads,
+            args.table, replicates=args.replicates,
+            models=tuple(args.models.replace(",", "")), **common,
         )
     csv_path = out_dir / f"{args.table}_report.csv"
     json_path = out_dir / f"{args.table}_report.json"
     csv_path.write_text(report.to_csv(), encoding="utf-8")
     json_path.write_text(report.to_json() + "\n", encoding="utf-8")
-    manifest = make_manifest(
-        "reproduce",
-        {
-            "table": args.table,
-            "replicates": args.replicates,
-            "models": list(models),
-            "n_values": list(n_values),
-            "alpha": args.alpha,
-            "steps": args.steps,
-            "chains": args.chains,
-            "threads": args.threads,
-            "form": args.form,
-        },
-        seed,
-        args.divisor,
-    )
-    write_manifest(out_dir / f"{args.table}_manifest.json", manifest)
+    _write_manifest(args, out_dir / f"{args.table}_manifest.json")
     print(report.to_csv(), end="")
-    print(f"wrote {csv_path} and {json_path}, seed {seed}")
+    print(f"wrote {csv_path} and {json_path}, seed {args.seed}")
     return 0
 
 
@@ -178,47 +140,48 @@ def _cmd_fit_tree(args) -> int:
     print(f"fitted tree: {len(tree.edges)} edges, total score {tree.total_score:.6f}")
     for i, j, w in sorted(tree.edges):
         print(f"  {names[i]} -- {names[j]}  ({w:.4f})")
+    written = []
     if args.dot_out:
         dot = Path(args.dot_out)
         dot.write_text(tree.to_dot(names), encoding="utf-8")
-        _artifact_manifest(dot, "fit-tree", {"csv": str(args.csv)}, None)
+        written.append(dot)
         print(f"wrote {dot}")
     if args.edges_out:
         edges = Path(args.edges_out)
         edges.write_text(tree.to_edge_list(), encoding="utf-8")
+        written.append(edges)
         print(f"wrote {edges}")
+    _write_manifest(args, *map(_beside, written))
     return 0
 
 
 def _cmd_compare(args) -> int:
     data_a = read_csv(args.csv_a)
     data_b = read_csv(args.csv_b)
-    seed = args.seed if args.seed is not None else _fresh_seed()
     result = paired_permutation_equality(
-        data_a, data_b, m_iterations=args.permutations, alpha=args.alpha, seed=seed
+        data_a, data_b, m_iterations=args.permutations, alpha=args.alpha, seed=args.seed
     )
     print("paired permutation test for network equality")
     print(f"  observed statistic = {result.observed_statistic:.6f}")
-    print(f"  iterations = {result.m_iterations}  seed = {seed}")
+    print(f"  iterations = {result.m_iterations}  seed = {args.seed}")
     print(f"  p-value = {result.p_value:.6f}")
     verdict = "reject equality" if result.p_value < args.alpha else "fail to reject equality"
     print(f"  decision at alpha={args.alpha:g}: {verdict}")
     if args.json_out:
         out = Path(args.json_out)
         out.write_text(result.to_json() + "\n", encoding="utf-8")
-        _artifact_manifest(
-            out,
-            "compare",
-            {
-                "csv_a": str(args.csv_a),
-                "csv_b": str(args.csv_b),
-                "permutations": args.permutations,
-                "alpha": args.alpha,
-            },
-            seed,
-        )
+        _write_manifest(args, _beside(out))
         print(f"  wrote {out}")
     return 0
+
+
+_COMMANDS = {
+    "test": _cmd_test,
+    "simulate": _cmd_simulate,
+    "reproduce": _cmd_reproduce,
+    "fit-tree": _cmd_fit_tree,
+    "compare": _cmd_compare,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,16 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("test", help="run the max-in-degree test on a dataset CSV")
     t.add_argument("csv", help="dataset CSV (header row, numeric rows)")
     t.add_argument("--alpha", type=float, default=0.05, help="test level (default .05)")
-    t.add_argument("--divisor", choices=("nminusp", "n"), default="nminusp",
-                   help="plug-in covariance divisor (default nminusp)")
+    t.add_argument("--divisor", choices=DIVISOR_MODES, default=DIVISOR_MODES[0],
+                   help=f"plug-in covariance divisor (default {DIVISOR_MODES[0]})")
     t.add_argument("--gap-tol", type=float, default=None,
                    help="eigenvalue gap tolerance for the bias correction")
-    t.add_argument("--form", choices=("conservative", "exact"), default="conservative",
+    t.add_argument("--form", choices=PROPAGATOR_FORMS, default=PROPAGATOR_FORMS[0],
                    help="covariance propagation: the conservative default shrinks "
                         "harder and holds the nominal level when n is close to p; "
                         "exact is the delta-method-exact factor")
     t.add_argument("--json-out", default=None, help="also write the result as JSON")
-    t.set_defaults(func=_cmd_test)
 
     s = sub.add_parser("simulate", help="generate a dataset from a random network")
     s.add_argument("--model", required=True, choices=MODEL_KINDS)
@@ -255,32 +217,31 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", required=True, help="output CSV path")
     s.add_argument("--dot-out", default=None, help="also write the graph as DOT")
-    s.set_defaults(func=_cmd_simulate)
 
     r = sub.add_parser("reproduce", help="Monte Carlo rejection-rate studies")
     r.add_argument("--table", required=True, choices=TABLES)
     r.add_argument("--replicates", type=int, default=None,
                    help="replicates per cell (power: per graph; default 400 / 300)")
-    r.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: BNSPARSITY_THREADS or 1)")
+    r.add_argument("--threads", type=int, default=1,
+                   help="worker threads (default 1); the tables do not depend on it")
     r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--models", default=None, help="model kinds, e.g. 'AB' or 'A,B'")
+    r.add_argument("--models", default="".join(MODEL_KINDS),
+                   help="model kinds, e.g. 'AB' or 'A,B' (default all)")
     r.add_argument("--n", type=int, action="append", default=None,
-                   help="sample size (repeatable; default 30 50 100 500)")
+                   help="sample size (repeatable; default "
+                        + " ".join(map(str, DEFAULT_N_VALUES)) + ")")
     r.add_argument("--alpha", type=float, default=0.05)
-    r.add_argument("--divisor", choices=("nminusp", "n"), default="nminusp")
-    r.add_argument("--form", choices=("conservative", "exact"), default="conservative",
+    r.add_argument("--divisor", choices=DIVISOR_MODES, default=DIVISOR_MODES[0])
+    r.add_argument("--form", choices=PROPAGATOR_FORMS, default=PROPAGATOR_FORMS[0],
                    help="covariance propagation form used by every test")
     r.add_argument("--steps", type=int, default=10, help="power study: edge-addition steps")
     r.add_argument("--chains", type=int, default=10, help="power study: independent chains")
     r.add_argument("--out-dir", default=".", help="directory for report files")
-    r.set_defaults(func=_cmd_reproduce)
 
     f = sub.add_parser("fit-tree", help="fit a tree structure to a dataset CSV")
     f.add_argument("csv")
     f.add_argument("--dot-out", default=None)
     f.add_argument("--edges-out", default=None)
-    f.set_defaults(func=_cmd_fit_tree)
 
     c = sub.add_parser("compare", help="paired permutation test for equality of two networks")
     c.add_argument("csv_a")
@@ -290,20 +251,29 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alpha", type=float, default=0.05)
     c.add_argument("--seed", type=int, default=None)
     c.add_argument("--json-out", default=None)
-    c.set_defaults(func=_cmd_compare)
 
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "reproduce" and args.replicates is None:
-        args.replicates = 300 if args.table == "power" else 400
+def run(args: argparse.Namespace) -> int:
+    """Run a parsed command line, or a namespace rebuilt from a manifest's
+    ``parameters``; errors become an ``error:`` line and their exit code.
+    A seeded command run without ``--seed`` gets a fresh one here, which its
+    manifest then records."""
+    if "seed" in vars(args) and args.seed is None:
+        args.seed = fresh_seed()
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except BnSparsityError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return InputError.exit_code
+
+
+def main(argv=None) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

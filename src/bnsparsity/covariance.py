@@ -59,35 +59,41 @@ class Dataset:
 def read_csv(path) -> Dataset:
     """Read a dataset CSV: header row of names, then numeric rows.
 
-    Comma separated, '.' decimal, UTF-8. Parse failures report the 1-based
-    row and column.
+    Comma separated, '.' decimal, UTF-8. Parse failures, bytes that are not
+    UTF-8 included, raise :class:`CsvParseError` with the 1-based row and
+    column where known.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError("file is empty") from None
-        names = [name.strip() for name in header]
-        if not names or any(not name for name in names):
-            raise CsvParseError("header row has empty variable names", row=1)
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(names):
-                raise CsvParseError(
-                    f"expected {len(names)} fields, got {len(record)}", row=lineno
-                )
-            parsed = []
-            for colno, cell in enumerate(record, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CsvParseError("file is empty") from None
+            names = [name.strip() for name in header]
+            if not names or any(not name for name in names):
+                raise CsvParseError("header row has empty variable names", row=1)
+            rows = []
+            for lineno, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != len(names):
                     raise CsvParseError(
-                        f"cannot parse {cell!r} as a number", row=lineno, column=colno
-                    ) from None
-            rows.append(parsed)
+                        f"expected {len(names)} fields, got {len(record)}", row=lineno
+                    )
+                parsed = []
+                for colno, cell in enumerate(record, start=1):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise CsvParseError(
+                            f"cannot parse {cell!r} as a number", row=lineno, column=colno
+                        ) from None
+                rows.append(parsed)
+    except UnicodeDecodeError as err:
+        raise CsvParseError(f"file is not UTF-8 text: {err.reason}") from None
+    except csv.Error as err:
+        raise CsvParseError(str(err), row=reader.line_num) from None
     if not rows:
         raise CsvParseError("no data rows after the header")
     return Dataset(values=np.array(rows, dtype=float), variable_names=names)
@@ -107,8 +113,16 @@ def sample_covariance(data: Dataset) -> np.ndarray:
     if data.n < 2:
         raise InputError(f"covariance needs at least 2 samples, got n={data.n}")
     centered = data.values - data.values.mean(axis=0)
-    cov = centered.T @ centered / data.n
+    cov = finite_second_moments(centered.T @ centered / data.n)
     return 0.5 * (cov + cov.T)
+
+
+def finite_second_moments(moments: np.ndarray) -> np.ndarray:
+    """Pass through second moments of centered data, or raise
+    :class:`InputError` when they overflowed double precision."""
+    if not np.isfinite(moments).all():
+        raise InputError("data too large: its second moments overflow double precision")
+    return moments
 
 
 @dataclass(frozen=True)
@@ -148,18 +162,23 @@ def suite_from_covariance(sigma: np.ndarray) -> CovarianceSuite:
         raise SingularityError(
             f"covariance condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
-    precision = cho_solve(factor, np.eye(p))
-    precision = 0.5 * (precision + precision.T)
-    diag = np.diag(precision).copy()
-    scale = 1.0 / np.sqrt(diag)
-    normalized = precision * np.outer(scale, scale)
-    normalized = 0.5 * (normalized + normalized.T)
+    precision, diag, normalized = normalize_precision(cho_solve(factor, np.eye(p)))
     return CovarianceSuite(
         covariance=sigma,
         precision=precision,
         precision_diag=diag,
         normalized_precision=normalized,
     )
+
+
+def normalize_precision(precision: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetrized precision, its diagonal, and the unit-diagonal normalized
+    precision ``D^-1/2 precision D^-1/2``."""
+    precision = 0.5 * (precision + precision.T)
+    diag = np.diag(precision).copy()
+    scale = 1.0 / np.sqrt(diag)
+    normalized = precision * np.outer(scale, scale)
+    return precision, diag, 0.5 * (normalized + normalized.T)
 
 
 def build_suite(data: Dataset) -> CovarianceSuite:

@@ -1,11 +1,10 @@
 """Run manifests: every artifact file is written next to a manifest holding
-the command, full parameters, and master seed needed to reproduce it, and
+the command, every option and the master seed needed to reproduce it, and
 what else changes its bits: the numpy, scipy and BLAS builds and the BLAS
 thread count."""
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -15,6 +14,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .records import Record
 
 
 def _blas_build() -> tuple[str | None, str | None]:
@@ -25,12 +25,10 @@ def _blas_build() -> tuple[str | None, str | None]:
 
 
 @dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Record):
     command: str
     parameters: dict
     seed: int | None
-    divisor: str
-    gap_tolerance: float | None
     version: str
     timestamp: str
     numpy_version: str
@@ -39,40 +37,15 @@ class RunManifest:
     blas_version: str | None
     openblas_num_threads: str | None
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "divisor": self.divisor,
-            "gap_tolerance": self.gap_tolerance,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "numpy_version": self.numpy_version,
-            "scipy_version": self.scipy_version,
-            "blas_name": self.blas_name,
-            "blas_version": self.blas_version,
-            "openblas_num_threads": self.openblas_num_threads,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-
-def make_manifest(
-    command: str,
-    parameters: dict,
-    seed: int | None,
-    divisor: str = "nminusp",
-    gap_tolerance: float | None = None,
-) -> RunManifest:
+def make_manifest(parameters: dict) -> RunManifest:
+    """Manifest for a run whose every option, ``command`` included, is in
+    ``parameters``; ``seed`` repeats the master seed, null for seedless runs."""
     blas_name, blas_version = _blas_build()
     return RunManifest(
-        command=command,
+        command=parameters["command"],
         parameters=parameters,
-        seed=seed,
-        divisor=divisor,
-        gap_tolerance=gap_tolerance,
+        seed=parameters.get("seed"),
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
         numpy_version=np.__version__,

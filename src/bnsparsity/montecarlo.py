@@ -11,16 +11,23 @@ fraction with failures counted as non-rejections.
 
 from __future__ import annotations
 
-import io
-import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BnSparsityError, InputError
-from .simulate import power_chain, random_model, sample_dataset, NoiseSpec, WeightedDag, GenerativeModel
+from .records import Record
+from .simulate import (
+    MODEL_KINDS,
+    GenerativeModel,
+    NoiseSpec,
+    WeightedDag,
+    fresh_seed,
+    power_chain,
+    random_model,
+    sample_dataset,
+)
 from .sparsity import max_parents_test
 
 BASIC_TABLES = {"sim1": 1, "sim2": 4, "sim3": 8}
@@ -34,26 +41,6 @@ _STREAM_DATA = 12
 _STREAM_GRAPHS = 21
 _STREAM_POWER_DATA = 23
 
-THREADS_ENV_VAR = "BNSPARSITY_THREADS"
-
-
-def resolve_threads(threads: int | None) -> int:
-    """Explicit argument, else the environment variable, else 1."""
-    if threads is not None:
-        if threads < 1:
-            raise InputError(f"thread count must be >= 1, got {threads}")
-        return int(threads)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise InputError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
-        if value < 1:
-            raise InputError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-        return value
-    return 1
-
 
 def derived_rng(master_seed: int, *coords: int) -> np.random.Generator:
     """Independent generator for one site of the replication grid."""
@@ -61,7 +48,7 @@ def derived_rng(master_seed: int, *coords: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class MonteCarloRow:
+class MonteCarloRow(Record):
     """One grid cell: rejection counts at a (model, n, in-degree or step)."""
 
     model: str
@@ -89,35 +76,15 @@ class MonteCarloRow:
 
     def to_dict(self) -> dict:
         return {
-            "model": self.model,
-            "n": self.n,
-            "nabla_or_step": self.nabla_or_step,
-            "requested": self.requested,
-            "completed": self.completed,
-            "failures": self.failures,
-            "rejections": self.rejections,
+            **super().to_dict(),
             "reject_fraction": self.reject_fraction,
             "reject_fraction_with_failures": self.reject_fraction_with_failures,
             "mc_standard_error": self.mc_standard_error,
         }
 
 
-_CSV_COLUMNS = (
-    "model",
-    "n",
-    "nabla_or_step",
-    "requested",
-    "completed",
-    "failures",
-    "rejections",
-    "reject_fraction",
-    "reject_fraction_with_failures",
-    "mc_standard_error",
-)
-
-
 @dataclass
-class MonteCarloReport:
+class MonteCarloReport(Record):
     """Grid of rejection fractions plus the parameters that produced it."""
 
     table: str
@@ -129,36 +96,23 @@ class MonteCarloReport:
     rows: list[MonteCarloRow] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "p": self.p,
-            "alpha": self.alpha,
-            "divisor": self.divisor,
-            "seed": self.seed,
-            "replicates": self.replicates,
-            "rows": [row.to_dict() for row in self.rows],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return {**super().to_dict(), "rows": [row.to_dict() for row in self.rows]}
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(_CSV_COLUMNS) + "\n")
-        for row in self.rows:
-            record = row.to_dict()
-            out.write(
-                ",".join(
-                    format(record[c], ".6g") if isinstance(record[c], float) else str(record[c])
-                    for c in _CSV_COLUMNS
-                )
-                + "\n"
-            )
-        return out.getvalue()
+        """One line per row, headed by the keys of ``MonteCarloRow.to_dict``."""
+        records = [row.to_dict() for row in self.rows]
+        lines = [list(records[0])] if records else []
+        lines += [
+            [format(v, ".6g") if isinstance(v, float) else str(v) for v in record.values()]
+            for record in records
+        ]
+        return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _run_many(worker, tasks, threads: int):
-    if threads <= 1:
+    if threads < 1:
+        raise InputError(f"thread count must be >= 1, got {threads}")
+    if threads == 1:
         return [worker(task) for task in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, tasks))
@@ -190,13 +144,13 @@ def run_basic_simulation(
     table: str,
     replicates: int = 400,
     seed: int | None = None,
-    models: tuple[str, ...] = ("A", "B", "C", "D", "E"),
+    models: tuple[str, ...] = MODEL_KINDS,
     n_values: tuple[int, ...] = DEFAULT_N_VALUES,
     p: int = 20,
     alpha: float = 0.05,
     divisor: str = "nminusp",
     form: str = "conservative",
-    threads: int | None = None,
+    threads: int = 1,
 ) -> MonteCarloReport:
     """Rejection-rate grid at a fixed max in-degree (tables sim1/sim2/sim3).
 
@@ -207,11 +161,12 @@ def run_basic_simulation(
         raise InputError(f"table must be one of {sorted(BASIC_TABLES)}, got {table!r}")
     if replicates < 50:
         raise InputError(f"need at least 50 replicates, got {replicates}")
+    kinds = tuple(str(m).upper() for m in models)
+    if not kinds or not n_values:
+        raise InputError("need at least one model kind and one sample size")
     nabla = BASIC_TABLES[table]
     if seed is None:
-        seed = int(np.random.SeedSequence().entropy % (2**63))
-    threads = resolve_threads(threads)
-    kinds = tuple(str(m).upper() for m in models)
+        seed = fresh_seed()
 
     def worker(task):
         kind_idx, rep = task
@@ -250,7 +205,7 @@ def run_power_study(
     alpha: float = 0.05,
     divisor: str = "nminusp",
     form: str = "conservative",
-    threads: int | None = None,
+    threads: int = 1,
 ) -> MonteCarloReport:
     """Rejection rate as the true graph grows away from a tree.
 
@@ -260,9 +215,10 @@ def run_power_study(
     """
     if replicates_per_graph < 1:
         raise InputError("need at least 1 replicate per graph")
+    if not n_values:
+        raise InputError("need at least one sample size")
     if seed is None:
-        seed = int(np.random.SeedSequence().entropy % (2**63))
-    threads = resolve_threads(threads)
+        seed = fresh_seed()
 
     chain_set = power_chain(
         p=p,

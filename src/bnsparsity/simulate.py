@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .covariance import Dataset
+from .covariance import Dataset, normalize_precision
 from .errors import InputError
 from .kernels import symmetric_eigen
 
@@ -44,6 +44,12 @@ def as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def fresh_seed() -> int:
+    """Master seed from fresh OS entropy, below 2**63 so it fits a signed
+    64-bit integer in JSON and on the command line."""
+    return int(np.random.SeedSequence().entropy % (2**63))
 
 
 def _nonzero_normal(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -180,7 +186,6 @@ def random_dag(
     p: int,
     max_in_degree: int,
     density: float | None = None,
-    weight_sampler=None,
     rng=None,
 ) -> WeightedDag:
     """Random DAG whose max in-degree equals ``max_in_degree`` exactly.
@@ -199,7 +204,6 @@ def random_dag(
         raise InputError(f"max in-degree {max_in_degree} is infeasible for p={p}")
     if density is not None and not 0.0 <= density <= 1.0:
         raise InputError(f"density must be in [0, 1], got {density}")
-    sampler = weight_sampler or _nonzero_normal
 
     order = rng.permutation(p)
     parent_positions: list[np.ndarray] = []
@@ -229,7 +233,7 @@ def random_dag(
     adjacency = np.zeros((p, p))
     for k, chosen in enumerate(parent_positions):
         if len(chosen):
-            adjacency[order[chosen], order[k]] = sampler(rng, len(chosen))
+            adjacency[order[chosen], order[k]] = _nonzero_normal(rng, len(chosen))
     return WeightedDag(adjacency=adjacency, order=order)
 
 
@@ -239,7 +243,6 @@ def random_model(
     max_in_degree: int,
     rng=None,
     density: float | None = None,
-    weight_sampler=None,
 ) -> GenerativeModel:
     """Random model of the given kind over a fresh random DAG.
 
@@ -251,7 +254,7 @@ def random_model(
     kind = str(kind).upper()
     if kind not in MODEL_KINDS:
         raise InputError(f"model kind must be one of {MODEL_KINDS}, got {kind!r}")
-    dag = random_dag(p, max_in_degree, density=density, weight_sampler=weight_sampler, rng=rng)
+    dag = random_dag(p, max_in_degree, density=density, rng=rng)
     if kind in ("A", "D"):
         variances = rng.uniform(0.5, 1.5, size=p)
     else:
@@ -320,11 +323,7 @@ def analytic_normalized_precision(dag: WeightedDag, noise: NoiseSpec):
     if noise.variances.size != dag.p:
         raise InputError("noise dimension does not match the graph")
     b = np.eye(dag.p) - dag.adjacency
-    precision = b @ np.diag(1.0 / noise.variances) @ b.T
-    precision = 0.5 * (precision + precision.T)
-    d = 1.0 / np.sqrt(np.diag(precision))
-    omega = precision * np.outer(d, d)
-    omega = 0.5 * (omega + omega.T)
+    _, _, omega = normalize_precision(b @ np.diag(1.0 / noise.variances) @ b.T)
     eig = symmetric_eigen(omega)
     return omega, eig.values
 
@@ -386,7 +385,6 @@ def power_chain(
     steps: int = 10,
     chains: int = 10,
     rng=None,
-    weight_sampler=None,
 ) -> PowerChain:
     """Build the power-study graphs.
 
@@ -404,7 +402,6 @@ def power_chain(
             f"cannot add {steps}x{edges_per_step} edges to a {p}-vertex tree "
             f"(only {max_edges - (p - 1)} free slots)"
         )
-    sampler = weight_sampler or _nonzero_normal
 
     order = rng.permutation(p)
     base_struct = np.zeros((p, p), dtype=bool)
@@ -414,7 +411,7 @@ def power_chain(
     def weighted(struct: np.ndarray) -> WeightedDag:
         adjacency = np.zeros((p, p))
         rows, cols = np.nonzero(struct)
-        adjacency[rows, cols] = sampler(rng, rows.size)
+        adjacency[rows, cols] = _nonzero_normal(rng, rows.size)
         return WeightedDag(adjacency=adjacency, order=order)
 
     base = weighted(base_struct)

@@ -10,7 +10,6 @@ networks with non-tree moral graphs can still satisfy the null.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .asymptotics import build_asymptotics
 from .correction import corrected_top_eigenvalue
 from .covariance import Dataset, build_suite, normalized_precision_eigen
 from .errors import DegenerateVarianceError, InputError, InsufficientSampleError
+from .records import Record
 from .shrinkage import shrink
 
 
@@ -68,7 +68,7 @@ def student_t_quantile(prob: float, df: int) -> float:
 
 
 @dataclass(frozen=True)
-class SparsityTestResult:
+class SparsityTestResult(Record):
     """Everything the test computed, in the stable JSON field order."""
 
     lambda1_cstar: float
@@ -84,26 +84,6 @@ class SparsityTestResult:
     gap_warning: bool
     n: int
     p: int
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda1_cstar": self.lambda1_cstar,
-            "lambda1_sample": self.lambda1_sample,
-            "rho_hat": self.rho_hat,
-            "c_hat": self.c_hat,
-            "sigma_hat": self.sigma_hat,
-            "t_stat": self.t_stat,
-            "df": self.df,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "reject": self.reject,
-            "gap_warning": self.gap_warning,
-            "n": self.n,
-            "p": self.p,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SparsityTestResult":

@@ -15,14 +15,14 @@ can be swapped.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import Dataset
+from .covariance import Dataset, finite_second_moments
 from .errors import InputError
+from .records import Record
 
 # Perfectly correlated pairs would give infinite weight; cap r^2 just below 1.
 _R_SQUARED_CAP = 1.0 - 1e-12
@@ -64,7 +64,7 @@ class FittedTree:
 
 def _centered_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     centered = values - values.mean(axis=0)
-    return centered, np.sqrt((centered * centered).mean(axis=0))
+    return centered, np.sqrt(finite_second_moments((centered * centered).mean(axis=0)))
 
 
 def _mutual_information_matrix(values: np.ndarray) -> np.ndarray:
@@ -130,27 +130,15 @@ def chow_liu(data: Dataset) -> FittedTree:
 
 
 @dataclass(frozen=True)
-class PermutationTestResult:
-    """Observed statistic, the permuted statistics, and the add-one p-value
-    ``(1 + #{permuted >= observed}) / (M + 1)``."""
+class PermutationTestResult(Record):
+    """Observed statistic, the add-one p-value
+    ``(1 + #{permuted >= observed}) / (M + 1)`` and the permuted statistics."""
 
     observed_statistic: float
-    permutation_statistics: list[float]
     p_value: float
     m_iterations: int
     seed: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "observed_statistic": self.observed_statistic,
-            "p_value": self.p_value,
-            "m_iterations": self.m_iterations,
-            "seed": self.seed,
-            "permutation_statistics": self.permutation_statistics,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+    permutation_statistics: list[float]
 
 
 def _tree_score_sum(values_a: np.ndarray, values_b: np.ndarray) -> float:

@@ -1,13 +1,15 @@
 """Command-line surface: outputs, exit codes, determinism, manifests."""
 
+import argparse
 import json
 import os
 
 import numpy as np
+import pytest
 import scipy
 
-from bnsparsity import Dataset, read_csv, write_csv
-from bnsparsity.cli import main
+from bnsparsity import Dataset, max_parents_test, read_csv, write_csv
+from bnsparsity.cli import main, run
 from conftest import chain_dag
 from bnsparsity import GenerativeModel, NoiseSpec, sample_dataset
 
@@ -220,3 +222,102 @@ class TestFitTreeAndCompare:
         path = tmp_path / "c.csv"
         write_csv(Dataset(values=np.random.default_rng(3).standard_normal((10, 4))), path)
         assert run_cli("compare", str(a), str(path), "--M", "99") == 2
+
+
+class TestGapTolerance:
+    def test_large_tolerance_skips_bias_terms(self, tmp_path):
+        csv = make_tree_csv(tmp_path / "tree.csv", None)
+        data = read_csv(csv)
+        default = max_parents_test(data)
+        wide = max_parents_test(data, gap_tolerance=100.0)
+        assert not default.gap_warning and wide.gap_warning
+        assert default.c_hat != 0.0 and wide.c_hat == 0.0
+
+        json_path = tmp_path / "wide.json"
+        assert run_cli("test", str(csv), "--gap-tol", "100", "--json-out", str(json_path)) == 0
+        assert json.loads(json_path.read_text()) == wide.to_dict()
+        manifest = json.loads((tmp_path / "wide.manifest.json").read_text())
+        assert manifest["parameters"]["gap_tol"] == 100.0
+
+
+class TestManifests:
+    def test_every_artifact_has_a_manifest_of_every_option(self, tmp_path):
+        csv = tmp_path / "d.csv"
+        assert run_cli("simulate", "--model", "A", "--p", "6", "--n", "40",
+                       "--out", str(csv), "--dot-out", str(tmp_path / "g.dot")) == 0
+        assert run_cli("test", str(csv), "--json-out", str(tmp_path / "t.json")) == 0
+        assert run_cli("fit-tree", str(csv), "--edges-out", str(tmp_path / "f.edges")) == 0
+        assert run_cli("compare", str(csv), str(csv), "--M", "99",
+                       "--json-out", str(tmp_path / "c.json")) == 0
+        assert run_cli("reproduce", "--table", "sim1", "--replicates", "50", "--models", "A",
+                       "--n", "12", "--out-dir", str(tmp_path)) == 0
+        for name, command in [
+            ("d.manifest.json", "simulate"), ("g.manifest.json", "simulate"),
+            ("t.manifest.json", "test"), ("f.manifest.json", "fit-tree"),
+            ("c.manifest.json", "compare"), ("sim1_manifest.json", "reproduce"),
+        ]:
+            manifest = json.loads((tmp_path / name).read_text())
+            assert manifest["command"] == manifest["parameters"]["command"] == command
+            assert "func" not in manifest["parameters"]
+            if command in ("simulate", "compare", "reproduce"):
+                assert isinstance(manifest["parameters"]["seed"], int)
+                assert manifest["seed"] == manifest["parameters"]["seed"]
+        params = json.loads((tmp_path / "sim1_manifest.json").read_text())["parameters"]
+        assert params["threads"] == 1 and params["replicates"] == 50
+        assert params["n"] == [12] and params["models"] == "A"
+        assert params["divisor"] == "nminusp" and params["form"] == "conservative"
+
+    def test_replay_from_manifest_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        assert run_cli("simulate", "--model", "C", "--p", "8", "--n", "60",
+                       "--out", str(first / "d.csv")) == 0
+        assert run_cli("reproduce", "--table", "sim1", "--replicates", "50", "--models", "AC",
+                       "--n", "25", "--threads", "2", "--out-dir", str(first)) == 0
+
+        params = json.loads((first / "d.manifest.json").read_text())["parameters"]
+        assert run(argparse.Namespace(**dict(params, out=str(second / "d.csv")))) == 0
+        params = json.loads((first / "sim1_manifest.json").read_text())["parameters"]
+        assert run(argparse.Namespace(**dict(params, out_dir=str(second)))) == 0
+        for name in ("d.csv", "d.edges", "sim1_report.csv", "sim1_report.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def _bad_input(tmp_path, kind):
+    """A command line that must fail with a typed error."""
+    path = tmp_path / "bad.csv"
+    if kind == "missing":
+        return ["test", str(tmp_path / "missing.csv")]
+    if kind == "directory":
+        return ["test", str(tmp_path)]
+    if kind == "not-utf8":
+        path.write_bytes(b"a,b\n\xff\xfe,1\n")
+        return ["test", str(path)]
+    if kind == "oversized-field":
+        path.write_text("a,b\n" + "1" * 200_000 + ",1\n", encoding="utf-8")
+        return ["test", str(path)]
+    if kind == "unwritable":
+        return ["simulate", "--model", "A", "--p", "3", "--n", "10",
+                "--out", str(tmp_path / "nodir" / "x.csv")]
+    values = np.random.default_rng(0).standard_normal((100, 5)) * 1e200
+    write_csv(Dataset(values=values), path)
+    return {
+        "overflow-test": ["test", str(path)],
+        "overflow-fit-tree": ["fit-tree", str(path)],
+        "overflow-compare": ["compare", str(path), str(path), "--M", "99"],
+    }[kind]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("kind", [
+    "missing", "directory", "not-utf8", "oversized-field", "unwritable",
+    "overflow-test", "overflow-fit-tree", "overflow-compare",
+])
+def test_bad_input_is_a_typed_error(tmp_path, capsys, kind):
+    argv = _bad_input(tmp_path, kind)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err and captured.out == ""

@@ -4,29 +4,22 @@ import json
 
 import pytest
 
-from bnsparsity import InputError, run_basic_simulation, run_power_study
-from bnsparsity.montecarlo import resolve_threads
+from bnsparsity import Dataset, InputError, run_basic_simulation, run_power_study
+from bnsparsity import montecarlo
+from bnsparsity.cli import main
 
 
-class TestResolveThreads:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("BNSPARSITY_THREADS", "7")
-        assert resolve_threads(3) == 3
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("BNSPARSITY_THREADS", "5")
-        assert resolve_threads(None) == 5
-
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("BNSPARSITY_THREADS", raising=False)
-        assert resolve_threads(None) == 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("BNSPARSITY_THREADS", "many")
-        with pytest.raises(InputError):
-            resolve_threads(None)
-        with pytest.raises(InputError):
-            resolve_threads(0)
+class TestThreads:
+    def test_zero_threads_is_an_input_error(self, tmp_path):
+        with pytest.raises(InputError, match="thread count"):
+            run_basic_simulation("sim1", replicates=50, seed=1, models=("A",),
+                                 n_values=(12,), p=8, threads=0)
+        with pytest.raises(InputError, match="thread count"):
+            run_power_study(replicates_per_graph=50, seed=1, n_values=(12,), p=8,
+                            edges_per_step=1, steps=1, chains=1, threads=0)
+        code = main(["reproduce", "--table", "sim1", "--replicates", "50", "--models", "A",
+                     "--n", "12", "--seed", "1", "--threads", "0", "--out-dir", str(tmp_path)])
+        assert code == 2
 
 
 class TestBasicSimulation:
@@ -79,6 +72,27 @@ class TestBasicSimulation:
         assert row.requested == 60
         assert row.completed + row.failures == 60
         assert row.rejections <= row.completed
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_data_is_a_counted_failure(self, monkeypatch):
+        sample = montecarlo.sample_dataset
+        monkeypatch.setattr(
+            montecarlo, "sample_dataset",
+            lambda model, n, rng: Dataset(values=sample(model, n, rng=rng).values * 1e200),
+        )
+        report = run_basic_simulation(
+            "sim1", replicates=50, seed=2, models=("A",), n_values=(12,), p=8
+        )
+        (row,) = report.rows
+        assert row.failures == 50 and row.completed == 0
+
+    def test_empty_grid_is_an_input_error(self):
+        with pytest.raises(InputError):
+            run_basic_simulation("sim1", replicates=50, seed=1, models=(), n_values=(12,))
+        with pytest.raises(InputError):
+            run_basic_simulation("sim1", replicates=50, seed=1, models=("A",), n_values=())
+        with pytest.raises(InputError):
+            run_power_study(replicates_per_graph=50, seed=1, n_values=())
 
     def test_report_serialization(self):
         report = run_basic_simulation(
