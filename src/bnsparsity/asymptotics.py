@@ -132,6 +132,10 @@ def normalization_propagator(suite: CovarianceSuite, form: str = "exact") -> np.
     """
     _check_form(form)
     work = _form_suite(suite, form)
+    # the largest entry of S (x) S is the square of S's largest entry
+    largest = float(np.abs(work.covariance).max())
+    if not np.isfinite(largest * largest):
+        raise InputError("data too large: S (x) S overflows double precision")
     try:
         factor = cho_factor(kron(work.covariance, work.covariance), lower=True)
     except LinAlgError:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import DIVISOR_MODES, PROPAGATOR_FORMS
-from .covariance import Dataset, read_csv, write_csv
+from .covariance import read_csv, write_csv
 from .errors import BnSparsityError, InputError
 from .manifest import make_manifest, write_manifest
 from .montecarlo import DEFAULT_N_VALUES, TABLES, run_basic_simulation, run_power_study
@@ -80,8 +80,7 @@ def _cmd_test(args) -> int:
 def _cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     model = random_model(args.model, args.p, args.max_indegree, rng=rng, density=args.density)
-    raw = sample_dataset(model, args.n, rng=rng)
-    data = Dataset(values=raw.values, variable_names=raw.names())
+    data = sample_dataset(model, args.n, rng=rng)
     out = Path(args.out)
     write_csv(data, out)
     edges_path = out.with_suffix(".edges")
@@ -89,7 +88,7 @@ def _cmd_simulate(args) -> int:
     written = [out]
     if args.dot_out:
         dot = Path(args.dot_out)
-        dot.write_text(model.dag.to_dot(data.names()), encoding="utf-8")
+        dot.write_text(model.dag.to_dot(), encoding="utf-8")
         written.append(dot)
     _write_manifest(args, *map(_beside, written))
     print(f"wrote {out} ({args.n}x{args.p}), edge list {edges_path} "

@@ -53,7 +53,12 @@ class Dataset:
     def names(self) -> list[str]:
         if self.variable_names is not None:
             return list(self.variable_names)
-        return [f"x{i + 1}" for i in range(self.p)]
+        return default_names(self.p)
+
+
+def default_names(p: int) -> list[str]:
+    """Names ``x1 ... xp`` for unnamed variables."""
+    return [f"x{i + 1}" for i in range(p)]
 
 
 def read_csv(path) -> Dataset:
@@ -113,7 +118,8 @@ def sample_covariance(data: Dataset) -> np.ndarray:
     if data.n < 2:
         raise InputError(f"covariance needs at least 2 samples, got n={data.n}")
     centered = data.values - data.values.mean(axis=0)
-    cov = finite_second_moments(centered.T @ centered / data.n)
+    with np.errstate(over="ignore"):
+        cov = finite_second_moments(centered.T @ centered / data.n)
     return 0.5 * (cov + cov.T)
 
 

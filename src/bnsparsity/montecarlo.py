@@ -109,35 +109,37 @@ class MonteCarloReport(Record):
         return "".join(",".join(line) + "\n" for line in lines)
 
 
-def _run_many(worker, tasks, threads: int):
-    if threads < 1:
-        raise InputError(f"thread count must be >= 1, got {threads}")
-    if threads == 1:
-        return [worker(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def _test_outcome(data, alpha: float, divisor: str, form: str):
-    """True/False for reject, or the error message string on failure."""
+    """True/False for reject, or the error's type name on failure."""
     try:
         return max_parents_test(data, alpha, divisor=divisor, form=form).reject
     except BnSparsityError as err:
-        return f"{type(err).__name__}: {err}"
+        return type(err).__name__
 
 
-def _aggregate(model: str, n: int, nabla_or_step: int, outcomes) -> MonteCarloRow:
-    rejections = sum(1 for o in outcomes if o is True)
-    failures = sum(1 for o in outcomes if not isinstance(o, bool))
-    return MonteCarloRow(
-        model=model,
-        n=n,
-        nabla_or_step=nabla_or_step,
-        requested=len(outcomes),
-        completed=len(outcomes) - failures,
-        failures=failures,
-        rejections=rejections,
-    )
+def _run_grid(labels, tasks, worker, threads: int) -> list[MonteCarloRow]:
+    """Rows for ``labels``, each a (model, n, nabla_or_step) triple, in that
+    order. ``worker(task)`` returns (row index, outcome) pairs; rows are
+    keyed by position, so two equal labels stay two rows."""
+    if threads < 1:
+        raise InputError(f"thread count must be >= 1, got {threads}")
+    if threads == 1:
+        results = map(worker, tasks)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(worker, tasks))
+    outcomes = [[] for _ in labels]
+    for pairs in results:
+        for row, outcome in pairs:
+            outcomes[row].append(outcome)
+    rows = []
+    for label, found in zip(labels, outcomes):
+        completed = sum(isinstance(o, bool) for o in found)
+        rows.append(MonteCarloRow(
+            *label, requested=len(found), completed=completed,
+            failures=len(found) - completed, rejections=found.count(True),
+        ))
+    return rows
 
 
 def run_basic_simulation(
@@ -170,28 +172,24 @@ def run_basic_simulation(
 
     def worker(task):
         kind_idx, rep = task
-        kind = kinds[kind_idx]
         model = random_model(
-            kind, p, nabla, rng=derived_rng(seed, _STREAM_MODEL, kind_idx, rep)
+            kinds[kind_idx], p, nabla, rng=derived_rng(seed, _STREAM_MODEL, kind_idx, rep)
         )
-        outcomes = []
-        for n in n_values:
+        first_row = kind_idx * len(n_values)
+        pairs = []
+        for n_idx, n in enumerate(n_values):
             data = sample_dataset(
                 model, n, rng=derived_rng(seed, _STREAM_DATA, kind_idx, rep, n)
             )
-            outcomes.append(_test_outcome(data, alpha, divisor, form))
-        return outcomes
+            pairs.append((first_row + n_idx, _test_outcome(data, alpha, divisor, form)))
+        return pairs
 
-    report = MonteCarloReport(
-        table=table, p=p, alpha=alpha, divisor=divisor, seed=seed, replicates=replicates
+    labels = [(kind, n, nabla) for kind in kinds for n in n_values]
+    tasks = [(kind_idx, rep) for kind_idx in range(len(kinds)) for rep in range(replicates)]
+    return MonteCarloReport(
+        table=table, p=p, alpha=alpha, divisor=divisor, seed=seed, replicates=replicates,
+        rows=_run_grid(labels, tasks, worker, threads),
     )
-    for kind_idx, kind in enumerate(kinds):
-        tasks = [(kind_idx, rep) for rep in range(replicates)]
-        per_replicate = _run_many(worker, tasks, threads)
-        for n_idx, n in enumerate(n_values):
-            outcomes = [row[n_idx] for row in per_replicate]
-            report.rows.append(_aggregate(kind, n, nabla, outcomes))
-    return report
 
 
 def run_power_study(
@@ -242,30 +240,26 @@ def run_power_study(
             graph_models.append((chain_idx + 1, step_idx, model_for(dag)))
 
     def worker(task):
-        slot, step, model, n, rep = task
+        slot, step, model, n_idx, rep = task
+        n = n_values[n_idx]
         data = sample_dataset(
             model, n, rng=derived_rng(seed, _STREAM_POWER_DATA, slot, step, n, rep)
         )
-        return step, n, _test_outcome(data, alpha, divisor, form)
+        return [(n_idx * (steps + 1) + step, _test_outcome(data, alpha, divisor, form))]
 
+    labels = [("A", n, step) for n in n_values for step in range(steps + 1)]
     tasks = [
-        (slot, step, model, n, rep)
+        (slot, step, model, n_idx, rep)
         for slot, step, model in graph_models
-        for n in n_values
+        for n_idx in range(len(n_values))
         for rep in range(replicates_per_graph)
     ]
-    results = _run_many(worker, tasks, threads)
-
-    report = MonteCarloReport(
+    return MonteCarloReport(
         table="power",
         p=p,
         alpha=alpha,
         divisor=divisor,
         seed=seed,
         replicates=replicates_per_graph,
+        rows=_run_grid(labels, tasks, worker, threads),
     )
-    for n in n_values:
-        for step in range(steps + 1):
-            outcomes = [o for s, nn, o in results if s == step and nn == n]
-            report.rows.append(_aggregate("A", n, step, outcomes))
-    return report

@@ -24,6 +24,7 @@ from scipy.special import expit
 from .covariance import Dataset, normalize_precision
 from .errors import InputError
 from .kernels import symmetric_eigen
+from .trees import dot_text, edge_list_text, spanning_forest
 
 MODEL_KINDS = ("A", "B", "C", "D", "E")
 GLM_FAMILIES = ("gaussian", "bernoulli", "poisson")
@@ -100,19 +101,10 @@ class WeightedDag:
 
     def to_edge_list(self) -> str:
         """One edge per line: '<from> <to> <weight>', 1-based vertices."""
-        lines = [f"{i + 1} {j + 1} {w!r}" for i, j, w in sorted(self.edges())]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return edge_list_text(self.edges())
 
     def to_dot(self, names: list[str] | None = None) -> str:
-        if names is None:
-            names = [f"x{i + 1}" for i in range(self.p)]
-        lines = ["digraph network {"]
-        for i, name in enumerate(names):
-            lines.append(f'  v{i + 1} [label="{name}"];')
-        for i, j, w in sorted(self.edges()):
-            lines.append(f'  v{i + 1} -> v{j + 1} [label="{w:.4g}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return dot_text("digraph network", "->", self.p, self.edges(), names)
 
 
 @dataclass(frozen=True)
@@ -343,21 +335,9 @@ def moral_graph(dag: WeightedDag) -> UndirectedGraph:
 
 
 def is_forest(graph: UndirectedGraph) -> bool:
-    """True when the graph has no cycles (union-find over the edges)."""
-    parent = list(range(graph.p))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in graph.edges():
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return False
-        parent[ri] = rj
-    return True
+    """True when the graph has no cycles: a spanning forest keeps every edge."""
+    edges = graph.edges()
+    return len(spanning_forest(graph.p, edges)) == len(edges)
 
 
 def max_in_degree(dag: WeightedDag) -> int:
@@ -441,49 +421,30 @@ def tuned_top_eigenvalue_model(
     The graph tiles disjoint collider blocks (``fan_in`` parents sharing one
     child, shared weight, halved per block so the top eigenvalue is unique);
     block depth is one, so the covariance stays well conditioned at any p.
-    A fan-in of k reaches targets up to just below k + 1; the weight is
-    tuned by bisection. Used by the bias and calibration studies.
+    A fan-in of k reaches targets below k + 1, with the weight in closed
+    form. Used by the bias and calibration studies.
     """
     target = float(target)
     if target < 1.0:
         raise InputError(f"top eigenvalue target must be >= 1, got {target}")
     if p < 3:
         raise InputError(f"need p >= 3, got {p}")
-    noise = NoiseSpec(variances=np.ones(p), family="gaussian")
-
-    def collider_dag(k: int, beta: float) -> WeightedDag:
-        adjacency = np.zeros((p, p))
-        size = k + 1
-        for block in range(p // size):
-            base = block * size
-            adjacency[base : base + k, base + k] = beta * 0.5**block
-        return WeightedDag(adjacency=adjacency, order=np.arange(p))
-
-    def top(k: int, beta: float) -> float:
-        _, values = analytic_normalized_precision(collider_dag(k, beta), noise)
-        return float(values[0])
-
+    # With unit error variances a fan-in-k collider's normalized precision
+    # has top eigenvalue 1 + mu, where beta^2 / (1 + beta^2) = r and
+    # r = mu^2 / (k + (k - 1) mu); r < 1 exactly when mu < k.
     candidates = (fan_in,) if fan_in is not None else (2, 5, 10, 20, 50)
-    for k in candidates:
-        k = int(k)
-        if k + 1 > p:
-            continue
-        hi = 1.0
-        while top(k, hi) < target and hi < 1e6:
-            hi *= 2.0
-        if top(k, hi) < target:
-            continue
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if top(k, mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13:
-                break
-        beta = 0.5 * (lo + hi)
-        if abs(top(k, beta) - target) > 1e-8:
-            continue
-        return GenerativeModel(kind="A", dag=collider_dag(k, beta), noise=noise)
-    raise InputError(f"top eigenvalue target {target} unreachable at p={p}")
+    fits = [k for k in map(int, candidates) if target < k + 1 <= p]
+    if not fits:
+        raise InputError(f"top eigenvalue target {target} unreachable at p={p}")
+    k, mu = fits[0], target - 1.0
+    r = mu * mu / (k + (k - 1) * mu)
+    beta = float(np.sqrt(r / (1.0 - r)))
+    adjacency = np.zeros((p, p))
+    for block in range(p // (k + 1)):
+        base = block * (k + 1)
+        adjacency[base : base + k, base + k] = beta * 0.5**block
+    return GenerativeModel(
+        kind="A",
+        dag=WeightedDag(adjacency=adjacency, order=np.arange(p)),
+        noise=NoiseSpec(variances=np.ones(p), family="gaussian"),
+    )

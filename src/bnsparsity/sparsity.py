@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, stdtrit
 
 from .asymptotics import build_asymptotics
 from .correction import corrected_top_eigenvalue
@@ -45,26 +45,13 @@ def student_t_sf(t: float, df: int) -> float:
 
 
 def student_t_quantile(prob: float, df: int) -> float:
-    """Quantile of Student t by monotone bisection of the tail function."""
+    """Quantile of Student t with ``df`` degrees of freedom (``stdtrit``)."""
     if not 0.0 < prob < 1.0:
         raise InputError(f"quantile probability must be in (0, 1), got {prob}")
-    target = 1.0 - prob  # upper-tail mass at the quantile
-    lo, hi = -1.0, 1.0
-    while student_t_sf(lo, df) < target:
-        lo *= 2.0
-        if lo < -1e300:
-            raise InputError("quantile bracket expansion failed")
-    while student_t_sf(hi, df) > target:
-        hi *= 2.0
-        if hi > 1e300:
-            raise InputError("quantile bracket expansion failed")
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if student_t_sf(mid, df) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    df = int(df)
+    if df < 1:
+        raise InputError(f"degrees of freedom must be >= 1, got {df}")
+    return float(stdtrit(df, prob))
 
 
 @dataclass(frozen=True)

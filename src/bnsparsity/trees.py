@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import Dataset, finite_second_moments
+from .covariance import Dataset, default_names, finite_second_moments
 from .errors import InputError
 from .records import Record
 
@@ -32,6 +32,46 @@ def gaussian_mutual_information(r: float) -> float:
     """Mutual information of a bivariate Gaussian with correlation r."""
     r2 = min(float(r) * float(r), _R_SQUARED_CAP)
     return -0.5 * float(np.log1p(-r2))
+
+
+def spanning_forest(p: int, pairs) -> list[tuple[int, int]]:
+    """Kruskal's rule over vertices 0..p-1: keep each (i, j) of ``pairs``, in
+    the order given, unless it closes a cycle; stop once p - 1 are kept."""
+    parent = list(range(p))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    kept: list[tuple[int, int]] = []
+    for i, j in pairs:
+        if len(kept) >= p - 1:
+            break
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            kept.append((i, j))
+    return kept
+
+
+def edge_list_text(edges) -> str:
+    """One edge per line, sorted: '<i> <j> <weight>' with 1-based vertices."""
+    lines = [f"{i + 1} {j + 1} {w!r}" for i, j, w in sorted(edges)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def dot_text(header: str, link: str, p: int, edges, names: list[str] | None = None) -> str:
+    """DOT graph ``header { ... }`` with vertices v1..vp labelled by ``names``
+    (default x1..xp) and the sorted edges joined by ``link`` ('->' or '--')."""
+    if names is None:
+        names = default_names(p)
+    lines = [f"{header} {{"]
+    lines += [f'  v{i + 1} [label="{name}"];' for i, name in enumerate(names)]
+    lines += [f'  v{i + 1} {link} v{j + 1} [label="{w:.4g}"];' for i, j, w in sorted(edges)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -47,24 +87,17 @@ class FittedTree:
         return {(i, j) for i, j, _ in self.edges}
 
     def to_edge_list(self) -> str:
-        lines = [f"{i + 1} {j + 1} {w!r}" for i, j, w in sorted(self.edges)]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return edge_list_text(self.edges)
 
     def to_dot(self, names: list[str] | None = None) -> str:
-        if names is None:
-            names = [f"x{i + 1}" for i in range(self.p)]
-        lines = ["graph tree {"]
-        for i, name in enumerate(names):
-            lines.append(f'  v{i + 1} [label="{name}"];')
-        for i, j, w in sorted(self.edges):
-            lines.append(f'  v{i + 1} -- v{j + 1} [label="{w:.4g}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return dot_text("graph tree", "--", self.p, self.edges, names)
 
 
 def _centered_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     centered = values - values.mean(axis=0)
-    return centered, np.sqrt(finite_second_moments((centered * centered).mean(axis=0)))
+    with np.errstate(over="ignore"):
+        moments = finite_second_moments((centered * centered).mean(axis=0))
+    return centered, np.sqrt(moments)
 
 
 def _mutual_information_matrix(values: np.ndarray) -> np.ndarray:
@@ -103,30 +136,17 @@ def chow_liu(data: Dataset) -> FittedTree:
         )
     mi = _mi_from_centered(centered, std)
 
-    p = data.p
-    candidates = sorted(
-        ((i, j) for i in range(p) for j in range(i + 1, p)),
-        key=lambda e: (-mi[e[0], e[1]], e[0], e[1]),
-    )
-    parent = list(range(p))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    edges: list[tuple[int, int, float]] = []
-    for i, j in candidates:
-        if mi[i, j] <= 0.0:
-            break
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j, float(mi[i, j])))
-        if len(edges) == p - 1:
-            break
-    return FittedTree(p=p, edges=edges, total_score=float(sum(w for _, _, w in edges)))
+    # nonzero lists the pairs i < j in lexicographic order, and a stable sort
+    # keeps that order among equal weights (np.triu_indices gives the same
+    # pairs at several times the cost for small p)
+    vertex = np.arange(data.p)
+    rows, cols = np.nonzero(vertex[:, None] < vertex)
+    weights = mi[rows, cols]
+    order = np.argsort(-weights, kind="stable")
+    order = order[weights[order] > 0.0]
+    pairs = zip(rows[order].tolist(), cols[order].tolist())
+    edges = [(i, j, float(mi[i, j])) for i, j in spanning_forest(data.p, pairs)]
+    return FittedTree(p=data.p, edges=edges, total_score=float(sum(w for _, _, w in edges)))
 
 
 @dataclass(frozen=True)

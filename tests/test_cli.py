@@ -300,6 +300,11 @@ def _bad_input(tmp_path, kind):
     if kind == "unwritable":
         return ["simulate", "--model", "A", "--p", "3", "--n", "10",
                 "--out", str(tmp_path / "nodir" / "x.csv")]
+    if kind == "overflow-exact":
+        # S is finite at this scale, but S (x) S overflows
+        values = np.random.default_rng(0).standard_normal((100, 5)) * 1e100
+        write_csv(Dataset(values=values), path)
+        return ["test", str(path), "--form", "exact"]
     values = np.random.default_rng(0).standard_normal((100, 5)) * 1e200
     write_csv(Dataset(values=values), path)
     return {
@@ -309,10 +314,10 @@ def _bad_input(tmp_path, kind):
     }[kind]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", [
     "missing", "directory", "not-utf8", "oversized-field", "unwritable",
-    "overflow-test", "overflow-fit-tree", "overflow-compare",
+    "overflow-test", "overflow-fit-tree", "overflow-compare", "overflow-exact",
 ])
 def test_bad_input_is_a_typed_error(tmp_path, capsys, kind):
     argv = _bad_input(tmp_path, kind)

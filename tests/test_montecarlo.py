@@ -62,6 +62,15 @@ class TestBasicSimulation:
         parallel = run_basic_simulation(threads=4, **kwargs)
         assert serial.to_dict() == parallel.to_dict()
 
+    def test_repeated_kind_gives_separate_row_blocks(self):
+        kwargs = dict(table="sim2", replicates=50, seed=2, n_values=(40,), p=8)
+        twice = run_basic_simulation(models=("A", "A"), **kwargs)
+        once = run_basic_simulation(models=("A",), **kwargs)
+        assert [row.model for row in twice.rows] == ["A", "A"]
+        # the second block draws from its own seeds
+        assert twice.rows[0] == once.rows[0]
+        assert twice.rows[1] != twice.rows[0]
+
     def test_heavy_tail_failures_reported_not_dropped(self):
         # Cauchy errors produce occasional near-singular covariances; the
         # harness must account for every requested replicate either way

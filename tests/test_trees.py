@@ -17,6 +17,7 @@ from bnsparsity import (
     random_model,
     sample_dataset,
 )
+from bnsparsity import trees
 
 def weighted_chain_model(rng, p=10):
     adjacency = np.zeros((p, p))
@@ -50,6 +51,29 @@ def brute_force_best_tree_score(mi: np.ndarray) -> float:
         score += mi[leaves[0], leaves[1]]
         best = max(best, score)
     return float(best)
+
+
+def sorted_union_find_chow_liu(data: Dataset) -> trees.FittedTree:
+    """Oracle for chow_liu's edge choice and order: a Python sort of every
+    pair by (-weight, i, j), then a union-find that stops at weight <= 0."""
+    mi = trees._mutual_information_matrix(data.values)
+    p = data.p
+    pairs = sorted(itertools.combinations(range(p), 2), key=lambda e: (-mi[e], e))
+    parent = list(range(p))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    edges = []
+    for i, j in pairs:
+        if mi[i, j] <= 0.0 or len(edges) == p - 1:
+            break
+        if find(i) != find(j):
+            parent[find(i)] = find(j)
+            edges.append((i, j, float(mi[i, j])))
+    return trees.FittedTree(p=p, edges=edges, total_score=float(sum(w for _, _, w in edges)))
 
 
 class TestMutualInformation:
@@ -96,6 +120,31 @@ class TestChowLiu:
             tree = chow_liu(Dataset(values=values))
         touched = {v for i, j, _ in tree.edges for v in (i, j)}
         assert 1 not in touched
+
+    def test_ties_break_on_the_edge_index(self, rng):
+        x = rng.standard_normal(50)
+        values = np.column_stack([x, x, x, rng.standard_normal(50)])
+        tree = chow_liu(Dataset(values=values))
+        weights = trees._mutual_information_matrix(values)
+        # three exactly equal weights, at the r^2 cap
+        assert weights[0, 1] == weights[0, 2] == weights[1, 2] > 13.8
+        assert {(0, 1), (0, 2)} <= tree.edge_set()
+        assert (1, 2) not in tree.edge_set()
+
+    @pytest.mark.parametrize("p", [5, 20, 40, 60])
+    def test_bitwise_equal_to_sorted_union_find(self, p, monkeypatch):
+        rng = np.random.default_rng(p)
+        data_a = sample_dataset(random_model("A", p, 2, rng=rng), 500, rng=rng)
+        data_b = sample_dataset(random_model("A", p, 1, rng=rng), 500, rng=rng)
+        for data in (data_a, data_b):
+            tree, oracle = chow_liu(data), sorted_union_find_chow_liu(data)
+            assert tree.edges == oracle.edges
+            assert tree.total_score == oracle.total_score
+        fast = paired_permutation_equality(data_a, data_b, m_iterations=99, seed=p)
+        monkeypatch.setattr(trees, "chow_liu", sorted_union_find_chow_liu)
+        slow = paired_permutation_equality(data_a, data_b, m_iterations=99, seed=p)
+        assert fast.permutation_statistics == slow.permutation_statistics
+        assert fast.observed_statistic == slow.observed_statistic
 
     def test_size_preconditions(self, rng):
         with pytest.raises(InputError):
