@@ -222,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--replicates", type=int, default=None,
                    help="replicates per cell (power: per graph; default 400 / 300)")
     r.add_argument("--threads", type=int, default=1,
-                   help="worker threads (default 1); the tables do not depend on it")
+                   help="worker processes (default 1; fork: Linux and macOS); the tables "
+                        "do not depend on it. Each worker keeps its own BLAS threads, so "
+                        "set OPENBLAS_NUM_THREADS=1 with --threads > 1")
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("--models", default="".join(MODEL_KINDS),
                    help="model kinds, e.g. 'AB' or 'A,B' (default all)")

@@ -2,16 +2,29 @@
 studies: three fixed-max-in-degree tables and the edge-growth power study.
 
 Per-replicate seeds are derived from the master seed and the replicate
-coordinates, so results are bit-identical regardless of thread count.
+coordinates, so results are bit-identical for any worker count. With
+``threads > 1`` the replicates run in worker processes forked from the
+caller. Threads would not help: most of a test's time is scipy's Cholesky
+factor and solve in the asymptotics, which hold the GIL. Forked workers
+inherit the task list and everything the caller patched, and they run the
+same library calls, so no table depends on the worker count. Fork is
+unsafe in a caller that runs threads of its own: call with ``threads=1``
+there. Each worker keeps its own BLAS threads, so set
+``OPENBLAS_NUM_THREADS=1`` when running more than one worker.
+
 Replicates that fail numerically (heavy-tailed data can produce effectively
 singular covariances) are never dropped silently: each grid row reports the
-failure count, the rejection fraction among completed replicates, and the
-fraction with failures counted as non-rejections.
+failure count and the failures by error type, the rejection fraction among
+completed replicates, and the fraction with failures counted as
+non-rejections.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +71,9 @@ class MonteCarloRow(Record):
     completed: int
     failures: int
     rejections: int
+    # error type name -> count, sorted by name; left out of the hash, which
+    # a dict cannot have
+    failure_types: dict[str, int] = field(hash=False)
 
     @property
     def reject_fraction(self) -> float:
@@ -75,11 +91,15 @@ class MonteCarloRow(Record):
         return float(np.sqrt(f * (1.0 - f) / self.completed))
 
     def to_dict(self) -> dict:
+        record = super().to_dict()
+        # last, so that the columns before it keep their CSV positions
+        failure_types = record.pop("failure_types")
         return {
-            **super().to_dict(),
+            **record,
             "reject_fraction": self.reject_fraction,
             "reject_fraction_with_failures": self.reject_fraction_with_failures,
             "mc_standard_error": self.mc_standard_error,
+            "failure_types": failure_types,
         }
 
 
@@ -99,14 +119,20 @@ class MonteCarloReport(Record):
         return {**super().to_dict(), "rows": [row.to_dict() for row in self.rows]}
 
     def to_csv(self) -> str:
-        """One line per row, headed by the keys of ``MonteCarloRow.to_dict``."""
+        """One line per row, headed by the keys of ``MonteCarloRow.to_dict``;
+        failure types are written ``Name=count`` joined by ``;``."""
         records = [row.to_dict() for row in self.rows]
         lines = [list(records[0])] if records else []
-        lines += [
-            [format(v, ".6g") if isinstance(v, float) else str(v) for v in record.values()]
-            for record in records
-        ]
+        lines += [[_csv_cell(v) for v in record.values()] for record in records]
         return "".join(",".join(line) + "\n" for line in lines)
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".6g")
+    if isinstance(value, dict):
+        return ";".join(f"{name}={count}" for name, count in value.items())
+    return str(value)
 
 
 def _test_outcome(data, alpha: float, divisor: str, form: str):
@@ -117,27 +143,68 @@ def _test_outcome(data, alpha: float, divisor: str, form: str):
         return type(err).__name__
 
 
+# The worker and task list of the pool a worker process belongs to, set by
+# the pool's initializer in each forked worker; the calling process never
+# sets it.
+_worker_job = None
+
+
+def _start_worker(worker, tasks) -> None:
+    global _worker_job
+    _worker_job = (worker, tasks)
+
+
+def _run_task(index: int):
+    worker, tasks = _worker_job
+    return worker(tasks[index])
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_grid(labels, tasks, worker, threads: int) -> list[MonteCarloRow]:
     """Rows for ``labels``, each a (model, n, nabla_or_step) triple, in that
     order. ``worker(task)`` returns (row index, outcome) pairs; rows are
-    keyed by position, so two equal labels stay two rows."""
+    keyed by position, so two equal labels stay two rows.
+
+    ``threads`` caps the worker processes; no more start than there are
+    tasks or usable CPUs, and one runs in the calling process. Forked
+    workers inherit ``worker`` and ``tasks``, so only task indices and the
+    (row, outcome) pairs cross the process boundary. Spawned workers would
+    need a picklable worker and would import the package and scipy afresh,
+    which takes longer than a whole small power study."""
     if threads < 1:
         raise InputError(f"thread count must be >= 1, got {threads}")
-    if threads == 1:
+    if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise InputError(
+            f"thread count {threads} needs worker processes started by fork, which "
+            "this platform does not offer; use a thread count of 1"
+        )
+    workers = min(threads, len(tasks), _usable_cpus())
+    if workers <= 1:
         results = map(worker, tasks)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, tasks))
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(worker, tasks),
+        ) as pool:
+            results = list(pool.map(_run_task, range(len(tasks))))
     outcomes = [[] for _ in labels]
     for pairs in results:
         for row, outcome in pairs:
             outcomes[row].append(outcome)
     rows = []
     for label, found in zip(labels, outcomes):
-        completed = sum(isinstance(o, bool) for o in found)
+        failed = Counter(o for o in found if not isinstance(o, bool))
+        failures = failed.total()
         rows.append(MonteCarloRow(
-            *label, requested=len(found), completed=completed,
-            failures=len(found) - completed, rejections=found.count(True),
+            *label, requested=len(found), completed=len(found) - failures,
+            failures=failures, rejections=found.count(True),
+            failure_types=dict(sorted(failed.items())),
         ))
     return rows
 

@@ -334,11 +334,15 @@ class TestSymmetricEigen:
         with pytest.raises(ConvergenceError):
             symmetric_eigen(np.eye(3))
 
-        report = run_basic_simulation(
-            "sim1", replicates=50, seed=5, models=("A",), n_values=(40,), p=5
-        )
-        (row,) = report.rows
-        assert row.failures == row.requested == 50 and row.completed == 0
+        # forked workers inherit the patch
+        for threads in (1, 2):
+            report = run_basic_simulation(
+                "sim1", replicates=50, seed=5, models=("A",), n_values=(40,), p=5,
+                threads=threads,
+            )
+            (row,) = report.rows
+            assert row.failures == row.requested == 50 and row.completed == 0
+            assert row.failure_types == {"ConvergenceError": 50}
 
         path = tmp_path / "data.csv"
         write_csv(Dataset(values=np.random.default_rng(15).standard_normal((40, 5))), path)

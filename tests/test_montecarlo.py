@@ -21,6 +21,57 @@ class TestThreads:
                      "--n", "12", "--seed", "1", "--threads", "0", "--out-dir", str(tmp_path)])
         assert code == 2
 
+    def test_worker_count_is_capped_by_tasks_and_cpus(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Runs the pool's tasks in this process; starts no process."""
+
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_worker_job", None)
+        kwargs = dict(table="sim1", replicates=50, seed=1, models=("A",), n_values=(12,), p=8)
+        capped = run_basic_simulation(threads=10**6, **kwargs)
+        # a power study with one replicate per graph has two tasks
+        run_power_study(replicates_per_graph=1, seed=1, n_values=(12,), p=8,
+                        edges_per_step=1, steps=1, chains=1, threads=10**6)
+        assert started == [3, 2]
+        assert capped.to_dict() == run_basic_simulation(threads=1, **kwargs).to_dict()
+
+    def test_without_fork_more_than_one_thread_is_an_input_error(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(montecarlo.multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        kwargs = dict(table="sim1", replicates=50, seed=1, models=("A",), n_values=(12,), p=8)
+        with pytest.raises(InputError, match="fork"):
+            run_basic_simulation(threads=2, **kwargs)
+        assert run_basic_simulation(threads=1, **kwargs).rows[0].requested == 50
+        code = main(["reproduce", "--table", "sim1", "--replicates", "50", "--models", "A",
+                     "--n", "12", "--seed", "1", "--threads", "2", "--out-dir", str(tmp_path)])
+        assert code == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, threads):
+        def broken(model, n, rng):
+            raise RuntimeError("sampler broke")
+
+        monkeypatch.setattr(montecarlo, "sample_dataset", broken)
+        with pytest.raises(RuntimeError, match="sampler broke"):
+            run_basic_simulation("sim1", replicates=50, seed=1, models=("A",),
+                                 n_values=(12,), p=8, threads=threads)
+
 
 class TestBasicSimulation:
     def test_requires_replicates(self):
@@ -50,17 +101,26 @@ class TestBasicSimulation:
         assert row.nabla_or_step == 1
 
     def test_thread_count_invariance(self):
-        kwargs = dict(
-            table="sim2",
-            replicates=50,
-            seed=7,
-            models=("A",),
-            n_values=(12,),
-            p=8,
-        )
-        serial = run_basic_simulation(threads=1, **kwargs)
-        parallel = run_basic_simulation(threads=4, **kwargs)
-        assert serial.to_dict() == parallel.to_dict()
+        # the kind-C grid has one failed replicate, whose error type crosses
+        # the process boundary
+        grids = (dict(seed=7, models=("A",), n_values=(12,), p=8),
+                 dict(seed=5, models=("C",), n_values=(20,), p=12))
+        for kwargs in grids:
+            serial = run_basic_simulation("sim2", replicates=50, threads=1, **kwargs)
+            parallel = run_basic_simulation("sim2", replicates=50, threads=4, **kwargs)
+            assert serial.to_dict() == parallel.to_dict()
+        assert parallel.rows[0].failure_types == {"SingularityError": 1}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failure_types_of_the_reference_cell(self, threads):
+        report = run_basic_simulation("sim2", replicates=50, seed=5, models=("C",),
+                                      n_values=(100,), p=20, threads=threads)
+        (row,) = report.rows
+        assert (row.completed, row.failures) == (49, 1)
+        assert row.failure_types == {"SingularityError": 1}
+        assert report.to_csv().splitlines()[1].endswith(",SingularityError=1")
+        assert json.loads(report.to_json())["rows"][0]["failure_types"] == {
+            "SingularityError": 1}
 
     def test_repeated_kind_gives_separate_row_blocks(self):
         kwargs = dict(table="sim2", replicates=50, seed=2, n_values=(40,), p=8)
@@ -114,6 +174,7 @@ class TestBasicSimulation:
         csv_text = report.to_csv()
         header, line = csv_text.strip().splitlines()
         assert header.startswith("model,n,nabla_or_step")
+        assert header.endswith(",mc_standard_error,failure_types")
         assert line.startswith("A,12,1")
 
 
