@@ -17,7 +17,7 @@ from scipy.linalg.lapack import dpocon
 from .errors import CsvParseError, InputError, InsufficientSampleError, SingularityError
 from .kernels import EigenSystem, symmetric_eigen
 
-# Condition estimates above this are treated as singular.
+# Correlation-matrix condition estimates above this are treated as singular.
 CONDITION_LIMIT = 1e12
 
 
@@ -149,8 +149,8 @@ def suite_from_covariance(sigma: np.ndarray) -> CovarianceSuite:
     """Build the suite from a covariance matrix directly.
 
     Inversion goes through a symmetric positive-definite factorization; a
-    failed factorization or a condition estimate above ``CONDITION_LIMIT``
-    raises :class:`SingularityError`.
+    failed factorization, or a condition estimate of the correlation matrix
+    above ``CONDITION_LIMIT``, raises :class:`SingularityError`.
     """
     sigma = np.asarray(sigma, dtype=float)
     sigma = 0.5 * (sigma + sigma.T)
@@ -159,14 +159,18 @@ def suite_from_covariance(sigma: np.ndarray) -> CovarianceSuite:
         factor = cho_factor(sigma, lower=True)
     except LinAlgError:
         raise SingularityError("covariance matrix is not positive definite") from None
-    anorm = float(np.abs(sigma).sum(axis=0).max())
-    rcond, info = dpocon(factor[0], anorm, uplo="L")
+    # The test does not change when columns are rescaled, so the estimate is
+    # of the correlation matrix R = D S D, d = diag(S)^-1/2, whose Cholesky
+    # factor is D L: no second factorization.
+    d = 1.0 / np.sqrt(np.diag(sigma))
+    anorm = float(np.abs(sigma * np.outer(d, d)).sum(axis=0).max())
+    rcond, info = dpocon(factor[0] * d[:, None], anorm, uplo="L")
     if info != 0:
         raise SingularityError("condition estimation failed")
     cond = np.inf if rcond == 0 else 1.0 / float(rcond)
     if cond > CONDITION_LIMIT:
         raise SingularityError(
-            f"covariance condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
+            f"correlation condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
     precision, diag, normalized = normalize_precision(cho_solve(factor, np.eye(p)))
     return CovarianceSuite(

@@ -15,9 +15,10 @@ can be swapped.
 A tree's total weight does not depend on how ties break, so the test never
 fits trees: it takes both groups' cross-products under every swap from one
 matrix product per chunk of permutations (they are linear in the swap
-vector) and totals each maximum spanning forest with a batched dense Prim.
-``chow_liu``, whose tie rule names edges, fits single trees and is the
-test's oracle.
+vector), and totals the maximum spanning forests of a batch of several
+chunks with one dense Prim, in a working set that does not grow with the
+number of permutations. ``chow_liu``, whose tie rule names edges, fits
+single trees and is the test's oracle.
 """
 
 from __future__ import annotations
@@ -179,11 +180,18 @@ class PermutationTestResult(Record):
     permutation_statistics: list[float]
 
 
-# Bytes of swap-scaled rows one chunk of permutations may hold, and the most
-# permutations scored together, so the working set stays near 2 MB whatever
-# M is. A 2 MB budget was no faster and raised the peak RSS by another 1.3 MB.
-_WORKING_SET_BYTES = 1 << 20
+# Bytes of swap-scaled rows one product chunk may hold, and the most
+# permutations one product takes. A 2 MB budget was no faster and raised the
+# peak RSS by another 1.3 MB.
+_PRODUCT_BYTES = 1 << 20
 _MAX_CHUNK = 64
+# Bytes of one forest batch: both groups' (p, p) weights and the float swap
+# vector of each permutation in it. A batch is whole product chunks, at least
+# one, so Prim takes its p - 1 steps once per batch. At n = 500, M = 199 and
+# one BLAS thread, 1 MB ran p = 60 and p = 40 1.4x and p = 20 1.2x as fast as
+# one chunk per batch; 2 MB gained another 6% at p = 60 but raised its
+# tracemalloc peak from 2.6 to 3.6 MB.
+_FOREST_BYTES = 1 << 20
 
 
 def _forest_totals(weights: np.ndarray) -> np.ndarray:
@@ -210,15 +218,20 @@ def _forest_totals(weights: np.ndarray) -> np.ndarray:
 
 
 def _batch_mutual_information(
-    cross: np.ndarray, sums: np.ndarray, n: int, constant: np.ndarray
-) -> np.ndarray:
-    """Gaussian mutual information weights, (k, p, p) with a zero diagonal,
-    from cross-products (k, p, p) and column sums (k, p) of n rows about a
-    common centre. Columns marked ``constant`` (k, p), or left with no
-    positive variance by rounding, get zero weights."""
+    cross: np.ndarray, sums: np.ndarray, n: int, constant: np.ndarray, block: int
+) -> None:
+    """Overwrite cross-products (k, p, p), with column sums (k, p), of n
+    rows about a common centre by their Gaussian mutual information weights,
+    with a zero diagonal. Columns marked ``constant`` (k, p), or left with
+    no positive variance by rounding, get zero weights. The mean products
+    are taken ``block`` slices at a time, so no temporary is as large as
+    the batch."""
     mean = sums / n
-    cov = cross / n
-    cov -= mean[:, :, None] * mean[:, None, :]
+    cov = cross
+    cov /= n
+    for lo in range(0, len(cov), block):
+        part = mean[lo : lo + block]
+        cov[lo : lo + block] -= part[:, :, None] * part[:, None, :]
     var = cov.diagonal(axis1=1, axis2=2)
     usable = ~constant & (var > 0.0)
     scale = np.zeros_like(var)
@@ -230,7 +243,9 @@ def _batch_mutual_information(
     corr.reshape(len(corr), -1)[:, :: corr.shape[1] + 1] = 0.0
     corr *= corr
     np.minimum(corr, _R_SQUARED_CAP, out=corr)
-    return -0.5 * np.log1p(-corr)
+    np.negative(corr, out=corr)
+    np.log1p(corr, out=corr)
+    corr *= -0.5
 
 
 class _SwapLinearMoments:
@@ -276,32 +291,50 @@ class _SwapLinearMoments:
         np.logical_or.at(constant, (slice(None), self.constant_cols), misses == 0.0)
         return constant
 
-    def statistics(self, swaps: np.ndarray) -> np.ndarray:
+    def statistics(self, swaps: np.ndarray, chunk: int) -> np.ndarray:
         """Sum of the two groups' forest totals for each row of the (k, n)
-        0/1 ``swaps``."""
+        0/1 ``swaps``: ``chunk`` rows per matrix product, then mutual
+        information and Prim once over the whole batch, in one (2k, p, p)
+        buffer."""
         k, n, p = len(swaps), self.n, self.p
-        cross_a = ((swaps[:, None, :] * self.delta_t).reshape(k * p, n) @ self.sigma).reshape(
-            k, p, p
-        )
-        cross_a += cross_a.transpose(0, 2, 1)
+        # group A's weights in the first half, group B's in the second, which
+        # first holds the raw products
+        weights = np.empty((2 * k, p, p))
+        cross_a, cross_b = weights[:k], weights[k:]
+        sums = np.empty((2 * k, p))
+        sums_a, sums_b = sums[:k], sums[k:]
+        scaled = np.empty((min(chunk, k), p, n))
+        # products of the same shapes whatever k is, so that a permutation's
+        # score does not depend on the batch it falls in
+        for lo in range(0, k, chunk):
+            rows = swaps[lo : lo + chunk]
+            part = scaled[: len(rows)]
+            np.multiply(rows[:, None, :], self.delta_t, out=part)
+            out = cross_b[lo : lo + chunk].reshape(-1, p)
+            np.matmul(part.reshape(-1, n), self.sigma, out=out)
+            np.matmul(rows, self.delta_t.T, out=sums_a[lo : lo + chunk])
+        del scaled, part  # before the temporaries of the mean products
+        np.add(cross_b, cross_b.transpose(0, 2, 1), out=cross_a)
         cross_a *= 0.5
         cross_a += self.cross_a
-        sums_a = self.sum_a + swaps @ self.delta_t.T
+        np.subtract(self.cross_total, cross_a, out=cross_b)
+        sums_a += self.sum_a
+        np.negative(sums_a, out=sums_b)
         shift = swaps @ self.miss_shift
-        weights = _batch_mutual_information(
-            np.concatenate([cross_a, self.cross_total - cross_a]),
-            np.concatenate([sums_a, -sums_a]),
-            n,
-            self._constant(np.concatenate([self.miss_a + shift, self.miss_b - shift])),
-        )
+        constant = self._constant(np.concatenate([self.miss_a + shift, self.miss_b - shift]))
+        _batch_mutual_information(weights, sums, n, constant, chunk)
         totals = _forest_totals(weights)
         return totals[:k] + totals[k:]
 
 
 def _swap_vectors(n: int, m_iterations: int, seed: int | None):
-    """The all-zero swap (the observed data), then one draw per iteration."""
+    """The all-zero swap (the observed data), then one draw per iteration
+    from each child of ``SeedSequence(seed).spawn(m_iterations)``, spawned
+    one at a time so that they are not all held at once."""
     yield np.zeros(n, dtype=bool)
-    for child in np.random.SeedSequence(seed).spawn(m_iterations):
+    root = np.random.SeedSequence(seed)
+    for _ in range(m_iterations):
+        (child,) = root.spawn(1)
         yield np.random.default_rng(child).random(n) < 0.5
 
 
@@ -324,15 +357,17 @@ def paired_permutation_equality(
     A tree score is the total weight of a maximum spanning forest, which
     does not depend on how ties break, so no tree is fitted: swap-linear
     moments give both groups' cross-products for a chunk of permutations
-    in one matrix product, and a batched dense Prim totals each forest. The
-    observed statistic is the all-zero swap. Per permutation this costs
-    about 2 n p^2 flops plus O(p^2) for Prim; the working set does not grow
-    with M. The moments are taken about the pooled mean, so their rounding
-    error scales with the pooled variance: scores match ``chow_liu`` refits
-    to about 1e-14 relative unless one group's column variance is orders of
-    magnitude below the pooled one (heavy tails, outliers). A column that a
-    swap makes constant is left isolated; a constant input column warns
-    once per dataset.
+    in one matrix product, written into a buffer that holds a batch of
+    several chunks, and one batched dense Prim totals the batch's forests.
+    The observed statistic is the all-zero swap. Per permutation this costs
+    about 2 n p^2 flops plus O(p^2) for Prim, whose p - 1 steps are shared
+    by the batch; the working set (1 MB of scaled rows, 1 MB of weights and
+    swaps) does not grow with M. The moments are taken about the pooled
+    mean, so their rounding error scales with the pooled variance: scores
+    match ``chow_liu`` refits to about 1e-14 relative unless one group's
+    column variance is orders of magnitude below the pooled one (heavy
+    tails, outliers). A column that a swap makes constant is left isolated;
+    a constant input column warns once per dataset.
     """
     if data_a.values.shape != data_b.values.shape:
         raise InputError(
@@ -349,11 +384,12 @@ def paired_permutation_equality(
 
     moments = _SwapLinearMoments(data_a.values, data_b.values)
     n, p = moments.n, moments.p
-    chunk = max(1, min(_MAX_CHUNK, _WORKING_SET_BYTES // (8 * n * p)))
+    chunk = max(1, min(_MAX_CHUNK, _PRODUCT_BYTES // (8 * n * p)))
+    batch = chunk * max(1, _FOREST_BYTES // (chunk * 8 * (2 * p * p + n)))
     draws = _swap_vectors(n, m_iterations, seed)
     scores = []
-    while batch := list(itertools.islice(draws, chunk)):
-        scores.extend(moments.statistics(np.array(batch, dtype=float)).tolist())
+    while swaps := list(itertools.islice(draws, batch)):
+        scores.extend(moments.statistics(np.array(swaps, dtype=float), chunk).tolist())
     observed, permuted = scores[0], np.array(scores[1:])
     exceed = int(np.count_nonzero(permuted >= observed))
     return PermutationTestResult(

@@ -4,6 +4,7 @@ acceptance suite runs the full-size versions)."""
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from bnsparsity import (
     PROPAGATOR_FORMS,
@@ -26,7 +27,12 @@ from bnsparsity import (
     suite_from_covariance,
     vec,
 )
-from bnsparsity.asymptotics import DIVISOR_MODES, divisor_value
+from bnsparsity.asymptotics import (
+    DIVISOR_MODES,
+    _form_suite,
+    _normalization_jacobian,
+    divisor_value,
+)
 from conftest import chain_dag, gaussian_dataset, random_suite
 
 
@@ -116,6 +122,20 @@ class TestPropagator:
             fd = vec(plus.normalized_precision - minus.normalized_precision) / (2 * h)
             predicted = -(g.T @ vec(direction))
             assert np.abs(fd - predicted).max() <= 1e-5 * max(np.abs(fd).max(), 1e-12)
+
+    @pytest.mark.parametrize("form", PROPAGATOR_FORMS)
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 20])
+    def test_in_place_solve_is_bitwise_the_copying_solve(self, form, p):
+        # normalization_propagator factors and solves in place; the
+        # copy-making solve against kron(S, S) is kept here as the oracle
+        rng = np.random.default_rng(p)
+        x = rng.standard_normal((3 * p + 20, p)) @ rng.standard_normal((p, p))
+        suite = suite_from_covariance(x.T @ x / len(x))
+        work = _form_suite(suite, form)
+        s = work.covariance
+        jac = _normalization_jacobian(work)
+        oracle = cho_solve(cho_factor(kron(s, s), lower=True), jac.T if form == "exact" else jac)
+        assert np.array_equal(normalization_propagator(suite, form), oracle)
 
 
 class TestNormalizedPrecisionCov:

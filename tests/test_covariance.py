@@ -97,8 +97,11 @@ class TestSuite:
             suite_from_covariance(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_condition_guard(self):
+        # ill-conditioned at the correlation scale; a scale-only case such
+        # as diag(1, 1e-14) is accepted
+        almost = 1.0 - 1e-13
         with pytest.raises(SingularityError):
-            suite_from_covariance(np.diag([1.0, 1e-14]))
+            suite_from_covariance(np.array([[1.0, almost], [almost, 1.0]]))
 
     def test_unit_diagonal_and_symmetry(self, rng):
         for _ in range(20):

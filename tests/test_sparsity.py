@@ -118,6 +118,24 @@ class TestMaxParentsTest:
         other = max_parents_test(Dataset(values=scaled))
         assert other.t_stat == pytest.approx(base.t_stat, abs=1e-8)
 
+    def test_extreme_column_scaling_invariance(self, rng):
+        # columns in units up to 1e+-12 apart: cond(S) is near 1e48 while the
+        # correlation matrix is well conditioned, and the condition check is
+        # taken at the correlation scale. The default (conservative) form
+        # also takes its plug-ins there. The exact form factors S (x) S on
+        # the raw scale and may still raise SingularityError here.
+        model = random_model("A", 6, 2, rng=rng)
+        data = sample_dataset(model, 120, rng=rng)
+        scales = np.array([1e12, 1e-12, 1.0, 3e7, 2e-9, -5e11])
+        base = max_parents_test(data).to_dict()
+        other = max_parents_test(Dataset(values=data.values * scales)).to_dict()
+        assert list(other) == list(base)
+        for key, value in base.items():
+            if isinstance(value, float):
+                assert other[key] == pytest.approx(value, rel=1e-10, abs=0.0), key
+            else:
+                assert other[key] == value, key
+
     def test_errors(self, rng):
         with pytest.raises(InsufficientSampleError) as err:
             max_parents_test(Dataset(values=rng.standard_normal((10, 20))))

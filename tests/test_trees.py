@@ -105,13 +105,13 @@ def explicit_swap_permutation(data_a, data_b, m_iterations, seed):
     return observed, permuted, (1 + exceed) / (m_iterations + 1)
 
 
-def assert_matches_explicit_swaps(data_a, data_b, m_iterations, seed):
+def assert_matches_explicit_swaps(data_a, data_b, m_iterations, seed, rtol=1e-12):
     result = paired_permutation_equality(data_a, data_b, m_iterations=m_iterations, seed=seed)
     observed, permuted, p_value = explicit_swap_permutation(
         data_a, data_b, m_iterations, seed
     )
-    np.testing.assert_allclose(result.observed_statistic, observed, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(result.permutation_statistics, permuted, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(result.observed_statistic, observed, rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(result.permutation_statistics, permuted, rtol=rtol, atol=0.0)
     assert result.p_value == p_value
     return result
 
@@ -280,6 +280,53 @@ class TestPairedPermutation:
         result = assert_matches_explicit_swaps(*same, 99, seed=p)
         assert 0.01 < result.p_value < 1.0
 
+    def test_heavy_tails_match_explicit_swap_oracle(self):
+        # Cauchy errors (kind C): a swap that moves an outlier leaves one
+        # group's column variance far below the pooled one, and the pooled-
+        # mean moments lose digits there. This pair reaches 3.0e-9 relative.
+        rng = np.random.default_rng(5)
+        model = random_model("C", 8, 1, rng=rng)
+        pair = [sample_dataset(model, 100, rng=rng) for _ in range(2)]
+        assert_matches_explicit_swaps(*pair, 199, seed=5, rtol=1e-8)
+
+    @pytest.mark.parametrize("m_iterations", [199, 1000])
+    @pytest.mark.parametrize("p, n", [(10, 100), (60, 500)])
+    def test_forest_batches_match_one_chunk_per_batch(self, monkeypatch, p, n, m_iterations):
+        # A forest batch holds several product chunks. With no forest budget
+        # each batch is one product chunk, one Prim per product. At p = 10
+        # the first layout scores M = 199 in one partial batch.
+        rng = np.random.default_rng(p)
+        model = random_model("A", p, 1, rng=rng)
+        data_a, data_b = (sample_dataset(model, n, rng=rng) for _ in range(2))
+        statistics = trees._SwapLinearMoments.statistics
+        calls = []
+
+        def spy(self, swaps, chunk):
+            calls.append((len(swaps), chunk))
+            return statistics(self, swaps, chunk)
+
+        monkeypatch.setattr(trees._SwapLinearMoments, "statistics", spy)
+        batched = paired_permutation_equality(data_a, data_b, m_iterations, seed=p)
+        batch_sizes, chunk = [k for k, _ in calls], calls[0][1]
+        calls.clear()
+        monkeypatch.setattr(trees, "_FOREST_BYTES", 0)
+        chunked = paired_permutation_equality(data_a, data_b, m_iterations, seed=p)
+
+        # whole product chunks per full batch, and a partial last batch
+        *full, last = batch_sizes
+        assert sum(batch_sizes) == m_iterations + 1 and batch_sizes[0] > chunk
+        assert all(k == full[0] and k % chunk == 0 for k in full)
+        assert (not full) == (p == 10 and m_iterations == 199)
+        assert not full or last < full[0]
+        assert all(k <= chunk for k, _ in calls) and len(calls) > len(batch_sizes)
+        np.testing.assert_allclose(
+            batched.observed_statistic, chunked.observed_statistic, rtol=1e-15, atol=0.0
+        )
+        np.testing.assert_allclose(
+            batched.permutation_statistics, chunked.permutation_statistics, rtol=1e-15, atol=0.0
+        )
+        assert batched.p_value == chunked.p_value
+
     def test_identical_inputs_match_explicit_swap_oracle(self, rng):
         values = rng.standard_normal((40, 5))
         result = assert_matches_explicit_swaps(
@@ -329,8 +376,9 @@ class TestPairedPermutation:
 
     @pytest.mark.parametrize("m_iterations", [199, 999])
     def test_working_set_is_bounded(self, m_iterations):
-        # the swap-scaled rows of a chunk are held to 1 MB, so the peak (about
-        # 2 MB) barely grows with M; the n x p(p+1)/2 matrix of every row's
+        # the swap-scaled rows of a product chunk and the weights of a forest
+        # batch are each held to 1 MB, so the peak (about 2.6 MB) does not
+        # grow with M; the n x p(p+1)/2 matrix of every row's
         # cross-product change would need 7.3 MB on its own
         rng = np.random.default_rng(60)
         model = random_model("A", 60, 1, rng=rng)
