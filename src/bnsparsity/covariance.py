@@ -117,10 +117,22 @@ def sample_covariance(data: Dataset) -> np.ndarray:
     """Sample covariance with divisor n (not n-1)."""
     if data.n < 2:
         raise InputError(f"covariance needs at least 2 samples, got n={data.n}")
-    centered = data.values - data.values.mean(axis=0)
+    centered = center_columns(data.values)
     with np.errstate(over="ignore"):
         cov = finite_second_moments(centered.T @ centered / data.n)
     return 0.5 * (cov + cov.T)
+
+
+def center_columns(values: np.ndarray) -> np.ndarray:
+    """Columns minus their means, with constant columns exactly zero.
+
+    A constant whose mean rounds (0.1 at n = 60) would centre to a column of
+    rounding noise (about 1e-17) that looks like an uncorrelated variable;
+    constant columns are found by exact comparison instead.
+    """
+    centered = values - values.mean(axis=0)
+    centered[:, (values == values[0]).all(axis=0)] = 0.0
+    return centered
 
 
 def finite_second_moments(moments: np.ndarray) -> np.ndarray:

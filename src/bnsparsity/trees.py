@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import Dataset, default_names, finite_second_moments
+from .covariance import Dataset, center_columns, default_names, finite_second_moments
 from .errors import InputError
 from .records import Record
 
@@ -103,10 +103,7 @@ class FittedTree:
 
 
 def _centered_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    centered = values - values.mean(axis=0)
-    # a constant whose mean rounds (0.1 at n = 60) would centre to a tiny
-    # nonzero column, so constant columns are found by exact comparison
-    centered[:, (values == values[0]).all(axis=0)] = 0.0
+    centered = center_columns(values)
     with np.errstate(over="ignore"):
         moments = finite_second_moments((centered * centered).mean(axis=0))
     return centered, np.sqrt(moments)

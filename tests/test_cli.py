@@ -113,12 +113,16 @@ class TestTest:
         assert run_cli("test", str(path)) == 2
 
     def test_singular_exit_code(self, tmp_path):
-        path = tmp_path / "singular.csv"
         rng = np.random.default_rng(0)
         col = rng.standard_normal(30)
-        values = np.column_stack([col, col, rng.standard_normal(30)])
-        write_csv(Dataset(values=values), path)
-        assert run_cli("test", str(path)) == 3
+        duplicated = np.column_stack([col, col, rng.standard_normal(30)])
+        # a column of 0.1 at n = 60: its mean rounds, and only exact
+        # detection keeps it from passing as an uncorrelated variable
+        constant = np.column_stack([rng.standard_normal((60, 3)), np.full(60, 0.1)])
+        for name, values in (("duplicated", duplicated), ("constant", constant)):
+            path = tmp_path / f"{name}.csv"
+            write_csv(Dataset(values=values), path)
+            assert run_cli("test", str(path)) == 3, name
 
     def test_psoriasis_shaped_run(self, tmp_path, capsys):
         # same-shape stand-in for the study data: n=30, p=22, df must be 8

@@ -45,6 +45,14 @@ class TestSampleCovariance:
         data = Dataset(values=np.full((4, 3), 7.0))
         np.testing.assert_array_equal(sample_covariance(data), np.zeros((3, 3)))
 
+    def test_constant_column_whose_mean_rounds(self, rng):
+        # the mean of sixty 0.1s is not 0.1 in double precision
+        values = np.column_stack([rng.standard_normal((60, 2)), np.full(60, 0.1)])
+        assert values[:, 2].mean() != 0.1
+        cov = sample_covariance(Dataset(values=values))
+        np.testing.assert_array_equal(cov[2], 0.0)
+        np.testing.assert_array_equal(cov[:, 2], 0.0)
+
     def test_requires_two_samples(self):
         with pytest.raises(InputError):
             sample_covariance(Dataset(values=np.ones((1, 2))))

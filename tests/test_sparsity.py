@@ -121,20 +121,22 @@ class TestMaxParentsTest:
     def test_extreme_column_scaling_invariance(self, rng):
         # columns in units up to 1e+-12 apart: cond(S) is near 1e48 while the
         # correlation matrix is well conditioned, and the condition check is
-        # taken at the correlation scale. The default (conservative) form
-        # also takes its plug-ins there. The exact form factors S (x) S on
-        # the raw scale and may still raise SingularityError here.
+        # taken at the correlation scale. The exact form factors S (x) S on
+        # the raw scale; Cholesky commutes with diagonal scaling up to
+        # rounding, so it stays invariant too (9e-13 relative at worst over
+        # seeds 0-7 of this model).
         model = random_model("A", 6, 2, rng=rng)
         data = sample_dataset(model, 120, rng=rng)
         scales = np.array([1e12, 1e-12, 1.0, 3e7, 2e-9, -5e11])
-        base = max_parents_test(data).to_dict()
-        other = max_parents_test(Dataset(values=data.values * scales)).to_dict()
-        assert list(other) == list(base)
-        for key, value in base.items():
-            if isinstance(value, float):
-                assert other[key] == pytest.approx(value, rel=1e-10, abs=0.0), key
-            else:
-                assert other[key] == value, key
+        for form in ("conservative", "exact"):
+            base = max_parents_test(data, form=form).to_dict()
+            other = max_parents_test(Dataset(values=data.values * scales), form=form).to_dict()
+            assert list(other) == list(base)
+            for key, value in base.items():
+                if isinstance(value, float):
+                    assert other[key] == pytest.approx(value, rel=1e-10, abs=0.0), (form, key)
+                else:
+                    assert other[key] == value, (form, key)
 
     def test_errors(self, rng):
         with pytest.raises(InsufficientSampleError) as err:
@@ -144,6 +146,10 @@ class TestMaxParentsTest:
             max_parents_test(Dataset(values=rng.standard_normal((10, 1))))
         with pytest.raises(InputError):
             max_parents_test(Dataset(values=rng.standard_normal((10, 3))), alpha=1.5)
+        with pytest.raises(SingularityError):
+            max_parents_test(
+                Dataset(values=np.column_stack([rng.standard_normal((60, 3)), np.full(60, 0.1)]))
+            )
         duplicated = rng.standard_normal((30, 2))
         with pytest.raises(SingularityError):
             max_parents_test(

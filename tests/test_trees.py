@@ -268,26 +268,27 @@ class TestPairedPermutation:
         with pytest.raises(InputError, match="overflow"):
             paired_permutation_equality(a, b, m_iterations=99)
 
-    @pytest.mark.parametrize("p", [5, 20, 40, 60])
-    def test_matches_explicit_swap_oracle(self, p):
-        # the data of test_bitwise_equal_to_sorted_union_find (two different
-        # networks), then two samples of one network, for a p-value inside
-        rng = np.random.default_rng(p)
-        different = [sample_dataset(random_model("A", p, d, rng=rng), 500, rng=rng) for d in (2, 1)]
-        assert_matches_explicit_swaps(*different, 99, seed=p)
-        model = random_model("A", p, 1, rng=rng)
-        same = [sample_dataset(model, 500, rng=rng) for _ in range(2)]
-        result = assert_matches_explicit_swaps(*same, 99, seed=p)
+    @pytest.mark.parametrize(
+        "kind, p, n, m_iterations, seed, rtol",
+        [pytest.param("A", p, 500, 99, p, 1e-12, id=str(p)) for p in (5, 20, 40, 60)]
+        # Cauchy errors: a swap that moves an outlier leaves one group's
+        # column variance far below the pooled one, and the pooled-mean
+        # moments lose digits there. This pair reaches 3.0e-9 relative.
+        + [pytest.param("C", 8, 100, 199, 5, 1e-8, id="cauchy-8")],
+    )
+    def test_matches_explicit_swap_oracle(self, kind, p, n, m_iterations, seed, rtol):
+        # Gaussian cases first take the data of
+        # test_bitwise_equal_to_sorted_union_find (two different networks);
+        # every case then takes two samples of one network, for a p-value
+        # inside
+        rng = np.random.default_rng(seed)
+        if kind == "A":
+            different = [sample_dataset(random_model(kind, p, d, rng=rng), n, rng=rng) for d in (2, 1)]
+            assert_matches_explicit_swaps(*different, m_iterations, seed=seed, rtol=rtol)
+        model = random_model(kind, p, 1, rng=rng)
+        same = [sample_dataset(model, n, rng=rng) for _ in range(2)]
+        result = assert_matches_explicit_swaps(*same, m_iterations, seed=seed, rtol=rtol)
         assert 0.01 < result.p_value < 1.0
-
-    def test_heavy_tails_match_explicit_swap_oracle(self):
-        # Cauchy errors (kind C): a swap that moves an outlier leaves one
-        # group's column variance far below the pooled one, and the pooled-
-        # mean moments lose digits there. This pair reaches 3.0e-9 relative.
-        rng = np.random.default_rng(5)
-        model = random_model("C", 8, 1, rng=rng)
-        pair = [sample_dataset(model, 100, rng=rng) for _ in range(2)]
-        assert_matches_explicit_swaps(*pair, 199, seed=5, rtol=1e-8)
 
     @pytest.mark.parametrize("m_iterations", [199, 1000])
     @pytest.mark.parametrize("p, n", [(10, 100), (60, 500)])
