@@ -172,11 +172,13 @@ def _run_grid(labels, tasks, worker, threads: int) -> list[MonteCarloRow]:
     keyed by position, so two equal labels stay two rows.
 
     ``threads`` caps the worker processes; no more start than there are
-    tasks or usable CPUs, and one runs in the calling process. Forked
-    workers inherit ``worker`` and ``tasks``, so only task indices and the
-    (row, outcome) pairs cross the process boundary. Spawned workers would
-    need a picklable worker and would import the package and scipy afresh,
-    which takes longer than a whole small power study."""
+    tasks or usable CPUs. With one, the tasks run in the calling process;
+    with more, every task runs in a forked worker and the caller only
+    waits for the results. Forked workers inherit ``worker`` and ``tasks``,
+    so only task indices and the (row, outcome) pairs cross the process
+    boundary. Spawned workers would need a picklable worker and would
+    import the package and scipy afresh, which takes longer than a whole
+    small power study."""
     if threads < 1:
         raise InputError(f"thread count must be >= 1, got {threads}")
     if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():

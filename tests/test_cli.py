@@ -227,6 +227,11 @@ class TestFitTreeAndCompare:
         write_csv(Dataset(values=np.random.default_rng(3).standard_normal((10, 4))), path)
         assert run_cli("compare", str(a), str(path), "--M", "99") == 2
 
+    def test_too_many_iterations_exit_code(self, tmp_path, capsys):
+        a = self._chain_csv(tmp_path / "a.csv", 1)
+        assert run_cli("compare", str(a), str(a), "--M", str(2**32)) == 2
+        assert "at most 4294967295 permutation iterations" in capsys.readouterr().err
+
 
 class TestGapTolerance:
     def test_large_tolerance_skips_bias_terms(self, tmp_path):

@@ -116,6 +116,39 @@ def assert_matches_explicit_swaps(data_a, data_b, m_iterations, seed, rtol=1e-12
     return result
 
 
+# one, two and seven entropy words, and the largest of one word
+DRAW_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 17, 20230712]
+
+
+class TestSwapDraws:
+    @pytest.mark.parametrize("m_iterations", [99, 257, 1023, 1024, 1025, 2100])
+    @pytest.mark.parametrize("seed", DRAW_SEEDS + [None])
+    def test_child_states_match_spawned_children(self, seed, m_iterations):
+        # None is a fresh 128-bit entropy, as paired_permutation_equality
+        # gets with seed=None
+        entropy = np.random.SeedSequence(seed).entropy
+        children = np.random.SeedSequence(entropy).spawn(m_iterations)
+        expected = np.array([child.generate_state(4, np.uint64) for child in children])
+        block = trees._STATE_BLOCK
+        states = np.concatenate([
+            trees._child_states(entropy, lo, min(lo + block, m_iterations))
+            for lo in range(0, m_iterations, block)
+        ])
+        assert states.dtype == np.uint64
+        np.testing.assert_array_equal(states, expected)
+
+    @pytest.mark.parametrize("m_iterations, batch", [(99, 7), (1025, 100), (2100, 2101)])
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    def test_swap_vectors_match_explicit_swaps(self, seed, m_iterations, batch):
+        n = 37
+        batches = list(trees._swap_vectors(n, m_iterations, seed, batch))
+        assert [len(swaps) for swaps in batches[:-1]] == [batch] * (len(batches) - 1)
+        swaps = np.concatenate(batches)
+        expected = np.array([np.zeros(n, dtype=bool), *explicit_swaps(n, m_iterations, seed)])
+        assert swaps.dtype == float
+        np.testing.assert_array_equal(swaps, expected.astype(float))
+
+
 class TestMutualInformation:
     def test_zero_correlation(self):
         assert gaussian_mutual_information(0.0) == 0.0
@@ -257,6 +290,29 @@ class TestPairedPermutation:
         a = Dataset(values=rng.standard_normal((30, 4)))
         with pytest.raises(InputError):
             paired_permutation_equality(a, a, m_iterations=99, alpha=alpha)
+
+    def test_refuses_spawn_keys_of_two_words(self, rng, monkeypatch):
+        # child 2**32 would need a two-word spawn key, which the vectorized
+        # seed hash does not cover; the check comes before any work
+        data_a = Dataset(values=rng.standard_normal((500, 60)))
+        data_b = Dataset(values=rng.standard_normal((500, 60)))
+
+        def reached(*args):
+            raise AssertionError("reached")
+
+        for name in ("_checked_centering", "_SwapLinearMoments", "_swap_vectors"):
+            monkeypatch.setattr(trees, name, reached)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="at most 4294967295 permutation"):
+                paired_permutation_equality(data_a, data_b, m_iterations=2**32, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # each dataset is 240 KB
+        assert peak < 20_000
+        with pytest.raises(AssertionError, match="reached"):
+            paired_permutation_equality(data_a, data_b, m_iterations=2**32 - 1, seed=0)
 
     @pytest.mark.filterwarnings("error")
     def test_pooled_overflow_is_an_input_error(self, rng):
