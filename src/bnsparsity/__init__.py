@@ -13,14 +13,9 @@ from .asymptotics import (
     PROPAGATOR_FORMS,
     AsymptoticScalars,
     build_asymptotics,
-    eigenvalue_cov,
-    eigenvalue_gradients,
-    gaussian_vec_cov,
     normalization_propagator,
-    normalized_precision_cov,
-    propagation_vec_cov,
 )
-from .correction import CorrectedEigenvalue, bias_term, corrected_top_eigenvalue
+from .correction import CorrectedEigenvalue, corrected_top_eigenvalue
 from .covariance import (
     CovarianceSuite,
     Dataset,
@@ -41,16 +36,7 @@ from .errors import (
     NumericalError,
     SingularityError,
 )
-from .kernels import (
-    EigenSystem,
-    commutation_matrix,
-    diagonalization_matrix,
-    kron,
-    scaled_frobenius_sq,
-    selector_matrix,
-    symmetric_eigen,
-    vec,
-)
+from .kernels import EigenSystem, symmetric_eigen
 from .montecarlo import MonteCarloReport, MonteCarloRow, run_basic_simulation, run_power_study
 from .shrinkage import ShrinkageEstimate, shrink, shrinkage_intensity
 from .simulate import (
@@ -70,13 +56,7 @@ from .simulate import (
     tuned_top_eigenvalue_model,
 )
 from .sparsity import SparsityTestResult, max_parents_test, student_t_quantile, student_t_sf
-from .trees import (
-    FittedTree,
-    PermutationTestResult,
-    chow_liu,
-    gaussian_mutual_information,
-    paired_permutation_equality,
-)
+from .trees import FittedTree, PermutationTestResult, chow_liu, paired_permutation_equality
 
 __all__ = [
     "__version__",
@@ -106,28 +86,18 @@ __all__ = [
     "UndirectedGraph",
     "WeightedDag",
     "analytic_normalized_precision",
-    "bias_term",
     "build_asymptotics",
     "build_suite",
     "chow_liu",
-    "commutation_matrix",
     "corrected_top_eigenvalue",
-    "diagonalization_matrix",
-    "eigenvalue_cov",
-    "eigenvalue_gradients",
-    "gaussian_mutual_information",
-    "gaussian_vec_cov",
     "is_forest",
-    "kron",
     "max_in_degree",
     "max_parents_test",
     "moral_graph",
     "normalization_propagator",
-    "normalized_precision_cov",
     "normalized_precision_eigen",
     "paired_permutation_equality",
     "power_chain",
-    "propagation_vec_cov",
     "random_dag",
     "random_model",
     "read_csv",
@@ -135,8 +105,6 @@ __all__ = [
     "run_power_study",
     "sample_covariance",
     "sample_dataset",
-    "scaled_frobenius_sq",
-    "selector_matrix",
     "shrink",
     "shrinkage_intensity",
     "student_t_quantile",
@@ -144,6 +112,5 @@ __all__ = [
     "suite_from_covariance",
     "symmetric_eigen",
     "tuned_top_eigenvalue_model",
-    "vec",
     "write_csv",
 ]

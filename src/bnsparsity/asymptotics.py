@@ -1,23 +1,21 @@
-"""Plug-in asymptotic covariance matrices for the normalized precision and
-its eigenvalues, under Gaussian sampling.
+"""The test's plug-in scalars from the asymptotic covariance of the
+normalized precision, under Gaussian sampling.
 
 The chain is: the vectorized sample covariance has asymptotic covariance
 ``V = (I + K)(S (x) S)``; the delta method carries it through matrix
 inversion and diagonal normalization via a propagation factor ``G`` so that
-``Cov(vec of normalized precision) ~ G.T V G / divisor``; a final projection
-onto eigenvalue gradients gives the eigenvalue covariance.
+``Cov(vec of normalized precision) ~ C = G.T V G / divisor``.
 
-The test needs only a few numbers from that covariance C: its trace, the
-variance of the top eigenvalue and p - 1 quadratic forms for the bias term.
+The test needs only a few numbers from C: its trace, the variance of the
+top eigenvalue and p - 1 quadratic forms for the bias term.
 ``build_asymptotics`` computes G by the dense Cholesky solve and then those
 numbers from p x p products (``_vec_cov_forms``), never forming V, V G or
-C. The dense functions below are the oracle for it.
+C. The dense V, C and eigenvalue covariance are its oracles, in
+``tests/oracles.py``.
 
-The delta-method functions (``normalization_propagator``,
-``propagation_vec_cov``, ``normalized_precision_cov``, ``eigenvalue_cov``)
-default to ``form="exact"``, the quantity named above. The test pipeline
+``normalization_propagator`` has no default form. The test pipeline
 (``build_asymptotics`` and its callers) defaults to ``form="conservative"``,
-which is not that covariance; see ``PROPAGATOR_FORMS``.
+whose C is not the covariance named above; see ``PROPAGATOR_FORMS``.
 """
 
 from __future__ import annotations
@@ -29,20 +27,20 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .covariance import CovarianceSuite
 from .errors import InputError, InsufficientSampleError, SingularityError
-from .kernels import EigenSystem, commutation_indices, kron
+from .kernels import EigenSystem, commutation_indices
 
 # The first entry of DIVISOR_MODES and of PROPAGATOR_FORMS is the test
 # pipeline's default.
 DIVISOR_MODES = ("nminusp", "n")
 
-# Propagation-factor forms. "exact" (default of the delta-method functions)
-# is the true gradient-layout delta-method factor (finite-difference
-# validated), giving the actual asymptotic covariance of the vectorized
-# normalized precision. "conservative" (default of the test pipeline)
-# applies the normalization-map Jacobian untransposed, with every plug-in
-# slot evaluated at the sample correlation matrix so the result is invariant
-# to column rescaling. It is not Cov(vec of normalized precision) and does
-# not converge to it: it puts sampling variance on the unit diagonal, which
+# Propagation-factor forms. "exact" is the true gradient-layout
+# delta-method factor (finite-difference validated), giving the actual
+# asymptotic covariance of the vectorized normalized precision.
+# "conservative" (the test pipeline's default) applies the
+# normalization-map Jacobian untransposed, with every plug-in slot evaluated
+# at the sample correlation matrix so the result is invariant to column
+# rescaling. It is not Cov(vec of normalized precision) and does not
+# converge to it: it puts sampling variance on the unit diagonal, which
 # cannot vary, and over-weights the normalization curvature, inflating the
 # covariance trace and with it the shrinkage intensity. That inflation
 # cancels the positive small-sample bias of the top sample eigenvalue and
@@ -87,16 +85,6 @@ def divisor_value(n: int, p: int, mode: str = "nminusp") -> int:
     return n - p if mode == "nminusp" else n
 
 
-def gaussian_vec_cov(sigma: np.ndarray) -> np.ndarray:
-    """Asymptotic covariance of the vectorized sample covariance, Gaussian
-    case: ``(I + K)(S (x) S)``. Symmetric, and commutes with K."""
-    sigma = np.asarray(sigma, dtype=float)
-    p = sigma.shape[0]
-    s2 = kron(sigma, sigma)
-    v = s2 + s2[commutation_indices(p), :]
-    return 0.5 * (v + v.T)
-
-
 def _normalization_jacobian(suite: CovarianceSuite, transpose: bool = False) -> np.ndarray:
     """Standard Jacobian of the unit-diagonal normalization map at the
     sample precision: d vec(normalized) = J d vec(precision). With
@@ -120,19 +108,20 @@ def _normalization_jacobian(suite: CovarianceSuite, transpose: bool = False) -> 
     return jac
 
 
-def normalization_propagator(suite: CovarianceSuite, form: str = "exact") -> np.ndarray:
+def normalization_propagator(suite: CovarianceSuite, form: str) -> np.ndarray:
     """Delta-method factor G mapping covariance uncertainty to the
     normalized precision: ``Cov(vec of normalized precision) ~ G.T V G``.
 
-    With ``form="exact"`` (default), G solves ``(S (x) S) G = J.T`` where J
-    is the Jacobian of the normalization map; it enters the sandwich
+    With ``form="exact"``, G solves ``(S (x) S) G = J.T`` where J is the
+    Jacobian of the normalization map; it enters the sandwich
     transposed because the covariance propagates as ``J_total V J_total.T``
     and the inverse-map Jacobian ``-(S (x) S)^{-1}`` is symmetric with a sign
     that cancels, so ``-G.T`` is the derivative of the map covariance ->
     normalized precision. ``form="conservative"`` solves against J
     untransposed, at the correlation scale; it is not that derivative (see
     ``PROPAGATOR_FORMS``). Both forms coincide at a diagonal covariance.
-    Pair the result with ``propagation_vec_cov`` of the same form.
+    The matching V is taken at the same form's plug-in covariance
+    (``_form_suite``).
     """
     _check_form(form)
     work = _form_suite(suite, form)
@@ -147,58 +136,11 @@ def normalization_propagator(suite: CovarianceSuite, form: str = "exact") -> np.
     # three (at p = 60, peak RSS 387 -> 287 MB), with the same bits.
     sigma_t = work.covariance.T
     try:
-        factor = cho_factor(kron(sigma_t, sigma_t).T, lower=True, overwrite_a=True)
+        factor = cho_factor(np.kron(sigma_t, sigma_t).T, lower=True, overwrite_a=True)
     except LinAlgError:
         raise SingularityError("S (x) S is not positive definite") from None
     rhs = _normalization_jacobian(work, transpose=form == "conservative").T
     return cho_solve(factor, rhs, overwrite_b=True)
-
-
-def propagation_vec_cov(suite: CovarianceSuite, form: str = "exact") -> np.ndarray:
-    """The vec-covariance plug-in matching ``normalization_propagator``:
-    ``V`` at the suite's covariance for the exact form (default), at the
-    correlation scale for the conservative form."""
-    _check_form(form)
-    return gaussian_vec_cov(_form_suite(suite, form).covariance)
-
-
-def normalized_precision_cov(
-    suite: CovarianceSuite, n: int, divisor: str = "nminusp", form: str = "exact"
-) -> np.ndarray:
-    """Plug-in covariance of the vectorized normalized precision,
-    ``G.T V G / (n - p)`` by default. ``form="conservative"`` gives the
-    test pipeline's inflated matrix instead, which is not this covariance
-    (see ``PROPAGATOR_FORMS``)."""
-    div = divisor_value(n, suite.p, divisor)
-    g = normalization_propagator(suite, form)
-    s = g.T @ propagation_vec_cov(suite, form) @ g / div
-    return 0.5 * (s + s.T)
-
-
-def eigenvalue_gradients(eig: EigenSystem) -> np.ndarray:
-    """p^2 x p matrix whose i-th column, ``w_i (x) w_i``, is the gradient of
-    the i-th eigenvalue with respect to the vectorized matrix."""
-    p = eig.p
-    grads = np.empty((p * p, p))
-    for i in range(p):
-        grads[:, i] = np.kron(eig.vectors[:, i], eig.vectors[:, i])
-    return grads
-
-
-def eigenvalue_cov(
-    suite: CovarianceSuite,
-    eig: EigenSystem,
-    n: int,
-    divisor: str = "nminusp",
-    form: str = "exact",
-) -> np.ndarray:
-    """Plug-in covariance of the normalized-precision eigenvalues: the
-    projection of ``normalized_precision_cov`` of the same form (exact by
-    default) onto the eigenvalue gradients."""
-    cov = normalized_precision_cov(suite, n, divisor, form)
-    grads = eigenvalue_gradients(eig)
-    out = grads.T @ cov @ grads
-    return 0.5 * (out + out.T)
 
 
 # The trace takes G's columns in batches of about 2**16 entries (512 KB),
@@ -208,10 +150,11 @@ _TRACE_BATCH_ENTRIES = 1 << 16
 
 
 def _vec_cov_forms(sigma: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``u.T @ gaussian_vec_cov(sigma) @ u`` for each column u of ``cols``,
-    from p x p products instead of the p^2 x p^2 matrix.
+    """``u.T @ V @ u`` for each column u of ``cols``, with
+    ``V = (I + K)(S (x) S)`` at ``S = sigma``, from p x p products instead of
+    the p^2 x p^2 matrix.
 
-    With U = unvec(u) and Y = U + U.T, ``(I + K)(S (x) S) u = vec(S Y S)``,
+    With U the p x p matrix whose vec is u and Y = U + U.T, ``(I + K)(S (x) S) u = vec(S Y S)``,
     so the form is ``tr(U.T S Y S) = tr(Y S Y S) / 2``, and ``Y S`` is one
     row-stacked product for the whole batch. The vec order does not matter:
     both sides are invariant under U -> U.T.
@@ -256,7 +199,7 @@ def build_asymptotics(
     ``_vec_cov_forms`` reduces to p x p products.
 
     This is the test pipeline's entry point, so ``form`` defaults to
-    "conservative" here, unlike the standalone delta-method functions.
+    "conservative", the first of ``PROPAGATOR_FORMS``.
     """
     div = divisor_value(n, suite.p, divisor)
     g = normalization_propagator(suite, form)

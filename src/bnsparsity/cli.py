@@ -261,9 +261,12 @@ def run(args: argparse.Namespace) -> int:
     ``parameters``; errors become an ``error:`` line and their exit code.
     A seeded command run without ``--seed`` gets a fresh one here, which its
     manifest then records."""
-    if "seed" in vars(args) and args.seed is None:
-        args.seed = fresh_seed()
     try:
+        if "seed" in vars(args):
+            if args.seed is None:
+                args.seed = fresh_seed()
+            elif args.seed < 0:
+                raise InputError(f"--seed must be non-negative, got {args.seed}")
         return _COMMANDS[args.command](args)
     except BnSparsityError as err:
         print(f"error: {err}", file=sys.stderr)

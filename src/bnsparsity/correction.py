@@ -9,8 +9,9 @@ tolerance are skipped and flagged instead of amplifying noise; that rule
 lives in ``_gap_weighted_sum``.
 
 The test path never forms C: ``corrected_top_eigenvalue`` takes the
-numerators from ``AsymptoticScalars.cross_terms``. ``bias_term`` computes
-them from a dense C, for any target eigenvalue, and is the oracle.
+numerators from ``AsymptoticScalars.cross_terms``. Its oracle, the bias
+term of any target eigenvalue from a dense C, is ``bias_term`` in
+``tests/oracles.py``, which shares ``_gap_weighted_sum``.
 """
 
 from __future__ import annotations
@@ -57,33 +58,6 @@ def _gap_weighted_sum(
     return total, warned
 
 
-def bias_term(
-    eig: EigenSystem,
-    cov: np.ndarray,
-    target_index: int = 1,
-    gap_tolerance: float | None = None,
-) -> tuple[float, bool]:
-    """Second-order bias of the ``target_index``-th (1-based) eigenvalue,
-    from the dense plug-in covariance ``cov`` of the vectorized matrix.
-
-    Returns ``(value, gap_warning)``; the warning is set when any pairwise
-    gap fell below the tolerance and that term was skipped. For the top
-    eigenvalue every kept denominator is positive, so the value is
-    non-negative whenever ``cov`` is positive semi-definite.
-    """
-    p = eig.p
-    if not 1 <= target_index <= p:
-        raise InputError(f"target index must be in [1, {p}], got {target_index}")
-    i = target_index - 1
-    w_i = eig.vectors[:, i]
-    cross = []
-    for j in range(p):
-        if j != i:
-            w = np.kron(eig.vectors[:, j], w_i)
-            cross.append(float(w @ (cov @ w)))
-    return _gap_weighted_sum(eig, cross, target_index, gap_tolerance)
-
-
 @dataclass(frozen=True)
 class CorrectedEigenvalue:
     """Bias term and the two corrected forms of one eigenvalue.
@@ -106,8 +80,7 @@ def corrected_top_eigenvalue(
     gap_tolerance: float | None = None,
 ) -> CorrectedEigenvalue:
     """Combine the shrunk top eigenvalue with its second-order correction,
-    whose numerators are ``asym.cross_terms``. Other targets need the dense
-    covariance; ``bias_term`` takes it.
+    whose numerators are ``asym.cross_terms``.
     """
     if eig.p < 2:
         raise InputError("correction needs p >= 2 (no cross terms exist at p = 1)")

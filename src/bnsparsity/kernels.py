@@ -1,10 +1,11 @@
-"""Dense matrix primitives: vec, Kronecker product, commutation and
-diagonalization matrices, the diagonal selector, the scaled Frobenius norm,
-and the symmetric eigensolver (LAPACK, with a fixed order and sign rule).
+"""The symmetric eigensolver (LAPACK, with a fixed order and sign rule) and
+the commutation permutation with its dimension cap.
 
 Matrices are plain 2-D float64 numpy arrays. All vectorized (p^2-dimensional)
-objects in this package use column-major stacking, so that
-``vec(A @ B @ C) == kron(C.T, A) @ vec(B)`` holds.
+objects in this package use column-major stacking: ``vec(A)`` stacks the
+columns of A, and the commutation matrix K maps ``vec(A)`` to ``vec(A.T)``.
+The dense vec, K, D and selector matrices are test oracles
+(``tests/oracles.py``); the test path applies K as a row permutation.
 """
 
 from __future__ import annotations
@@ -15,23 +16,9 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 
-# K, D and J are materialized densely; p^2 x p^2 storage is capped here.
+# S (x) S and the normalization Jacobian are materialized densely; p^2 x p^2
+# storage is capped here.
 MAX_DIMENSION = 128
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Stack the columns of ``a`` into one vector (column-major)."""
-    return np.asarray(a, dtype=float).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a known shape."""
-    return np.asarray(v, dtype=float).reshape((rows, cols), order="F")
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) equals ``a[i, j] * b``."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def _check_dimension(p: int) -> int:
@@ -46,7 +33,8 @@ def _check_dimension(p: int) -> int:
 
 
 def commutation_indices(p: int) -> np.ndarray:
-    """Row permutation ``idx`` with ``commutation_matrix(p) @ v == v[idx]``.
+    """Row permutation ``idx`` with ``K @ v == v[idx]`` for the p^2 x p^2
+    commutation matrix K.
 
     Lets callers apply K to large matrices without a p^2 x p^2 product:
     ``K @ M == M[idx]`` and ``M @ K == M[:, idx]``.
@@ -55,43 +43,6 @@ def commutation_indices(p: int) -> np.ndarray:
     # position r + p*c of vec(A.T) holds A[c, r] = vec(A)[c + p*r]
     cols, rows = np.divmod(np.arange(p * p), p)
     return cols + p * rows
-
-
-def commutation_matrix(p: int) -> np.ndarray:
-    """Permutation matrix K with ``K @ vec(A) == vec(A.T)`` for p x p A."""
-    idx = commutation_indices(p)
-    k = np.zeros((p * p, p * p))
-    k[np.arange(p * p), idx] = 1.0
-    return k
-
-
-def diagonal_indices(p: int) -> np.ndarray:
-    """Positions of the diagonal entries of a p x p matrix inside vec."""
-    p = _check_dimension(p)
-    return np.arange(p) * (p + 1)
-
-
-def diagonalization_matrix(p: int) -> np.ndarray:
-    """Projector D with ``D @ vec(A) == vec(dg(A))`` (off-diagonal zeroed)."""
-    d = np.zeros((p * p, p * p))
-    idx = diagonal_indices(p)
-    d[idx, idx] = 1.0
-    return d
-
-
-def selector_matrix(p: int) -> np.ndarray:
-    """p^2 x p matrix whose i-th column is ``e_i (x) e_i``."""
-    j = np.zeros((p * p, p))
-    j[diagonal_indices(p), np.arange(p)] = 1.0
-    return j
-
-
-def scaled_frobenius_sq(a: np.ndarray) -> float:
-    """tr(A.T A) / p for square A."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"scaled Frobenius norm needs a square matrix, got {a.shape}")
-    return float(np.sum(a * a) / a.shape[0])
 
 
 @dataclass(frozen=True)

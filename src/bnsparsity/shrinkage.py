@@ -5,7 +5,7 @@ The intensity minimizing the expected scaled Frobenius loss is estimable as
 the vectorized normalized precision; ``build_asymptotics`` computes its
 trace without forming C (``AsymptoticScalars.cov_trace``). Shrinking the
 matrix shrinks its eigenvalues by the same affine map and keeps the
-eigenvectors, so no second eigendecomposition is needed.
+eigenvectors, so only the shrunk eigenvalues are formed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import AsymptoticScalars
-from .covariance import CovarianceSuite
 from .errors import InputError
 from .kernels import EigenSystem
 
@@ -51,31 +50,19 @@ def shrinkage_intensity(cov_trace: float, eigenvalues: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ShrinkageEstimate:
-    """Shrinkage intensity, shrunk matrix, its eigenvalues, and the trace
-    plug-in used in the intensity numerator."""
+    """Shrinkage intensity and the shrunk eigenvalues."""
 
     intensity: float
-    shrunk_matrix: np.ndarray
     shrunk_eigenvalues: np.ndarray
-    cov_trace: float
 
 
-def shrink(
-    suite: CovarianceSuite, eig: EigenSystem, asym: AsymptoticScalars
-) -> ShrinkageEstimate:
-    """Shrink the normalized precision toward the identity.
+def shrink(eig: EigenSystem, asym: AsymptoticScalars) -> ShrinkageEstimate:
+    """Shrink the normalized precision toward the identity:
+    ``(1 - rho) * R + rho * I``, with rho from ``asym.cov_trace``.
 
-    The shrunk eigenvalues are ``(1 - rho) * lambda + rho`` with the same
-    eigenvectors; their sum stays p and their ordering is preserved.
+    Only the eigenvalues are returned. They are ``(1 - rho) * lambda + rho``
+    with the same eigenvectors; their sum stays p and their ordering is
+    preserved.
     """
-    trace = asym.cov_trace
-    rho = shrinkage_intensity(trace, eig.values)
-    p = suite.p
-    shrunk = (1.0 - rho) * suite.normalized_precision + rho * np.eye(p)
-    lam_star = (1.0 - rho) * eig.values + rho
-    return ShrinkageEstimate(
-        intensity=rho,
-        shrunk_matrix=shrunk,
-        shrunk_eigenvalues=lam_star,
-        cov_trace=trace,
-    )
+    rho = shrinkage_intensity(asym.cov_trace, eig.values)
+    return ShrinkageEstimate(intensity=rho, shrunk_eigenvalues=(1.0 - rho) * eig.values + rho)

@@ -105,7 +105,7 @@ def max_parents_test(
     suite = build_suite(data)
     eig = normalized_precision_eigen(suite)
     asym = build_asymptotics(suite, eig, data.n, divisor, form)
-    shrunk = shrink(suite, eig, asym)
+    shrunk = shrink(eig, asym)
     corrected = corrected_top_eigenvalue(eig, shrunk, asym, gap_tolerance)
     top_var = asym.top_variance
     sigma = (1.0 - shrunk.intensity) * float(np.sqrt(max(top_var, 0.0)))

@@ -43,12 +43,6 @@ from .records import Record
 _R_SQUARED_CAP = 1.0 - 1e-12
 
 
-def gaussian_mutual_information(r: float) -> float:
-    """Mutual information of a bivariate Gaussian with correlation r."""
-    r2 = min(float(r) * float(r), _R_SQUARED_CAP)
-    return -0.5 * float(np.log1p(-r2))
-
-
 def spanning_forest(p: int, pairs) -> list[tuple[int, int]]:
     """Kruskal's rule over vertices 0..p-1: keep each (i, j) of ``pairs``, in
     the order given, unless it closes a cycle; stop once p - 1 are kept."""

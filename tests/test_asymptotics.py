@@ -10,22 +10,13 @@ from bnsparsity import (
     PROPAGATOR_FORMS,
     InputError,
     InsufficientSampleError,
-    bias_term,
     build_asymptotics,
     build_suite,
-    commutation_matrix,
     corrected_top_eigenvalue,
-    diagonalization_matrix,
-    eigenvalue_cov,
-    eigenvalue_gradients,
-    gaussian_vec_cov,
-    kron,
     normalization_propagator,
-    normalized_precision_cov,
     normalized_precision_eigen,
     shrink,
     suite_from_covariance,
-    vec,
 )
 from bnsparsity.asymptotics import (
     DIVISOR_MODES,
@@ -34,6 +25,16 @@ from bnsparsity.asymptotics import (
     divisor_value,
 )
 from conftest import chain_dag, gaussian_dataset, random_suite
+from oracles import (
+    bias_term,
+    commutation_matrix,
+    diagonalization_matrix,
+    eigenvalue_cov,
+    eigenvalue_gradients,
+    gaussian_vec_cov,
+    normalized_precision_cov,
+    vec,
+)
 
 
 def chain_suite(p=3, weight=1.0):
@@ -81,14 +82,16 @@ class TestPropagator:
         # the two forms coincide at a diagonal covariance
         suite = suite_from_covariance(np.eye(3))
         expected = np.eye(9) - 0.5 * (np.eye(9) + commutation_matrix(3)) @ diagonalization_matrix(3)
-        np.testing.assert_allclose(normalization_propagator(suite), expected, atol=1e-12)
-        np.testing.assert_allclose(
-            normalization_propagator(suite, form="exact"), expected, atol=1e-12
-        )
+        for form in PROPAGATOR_FORMS:
+            np.testing.assert_allclose(
+                normalization_propagator(suite, form), expected, atol=1e-12
+            )
 
     def test_scalar_degenerates_to_zero(self):
         suite = suite_from_covariance(np.array([[2.5]]))
-        np.testing.assert_allclose(normalization_propagator(suite), [[0.0]], atol=1e-12)
+        np.testing.assert_allclose(
+            normalization_propagator(suite, "exact"), [[0.0]], atol=1e-12
+        )
 
     def test_rejects_unknown_form(self):
         suite = suite_from_covariance(np.eye(2))
@@ -134,7 +137,8 @@ class TestPropagator:
         work = _form_suite(suite, form)
         s = work.covariance
         jac = _normalization_jacobian(work)
-        oracle = cho_solve(cho_factor(kron(s, s), lower=True), jac.T if form == "exact" else jac)
+        rhs = jac.T if form == "exact" else jac
+        oracle = cho_solve(cho_factor(np.kron(s, s), lower=True), rhs)
         assert np.array_equal(normalization_propagator(suite, form), oracle)
 
 
@@ -223,7 +227,7 @@ class TestEigenvalueCov:
         for i in range(3):
             selector[i * 4, i] = 1.0
         np.testing.assert_allclose(
-            eigenvalue_gradients(eig), kron(w, w) @ selector, atol=1e-12
+            eigenvalue_gradients(eig), np.kron(w, w) @ selector, atol=1e-12
         )
 
     def test_variance_tracks_monte_carlo(self, rng):
@@ -252,7 +256,7 @@ class TestEigenvalueCov:
 
 class TestScalarPathMatchesDenseOracle:
     """``build_asymptotics`` computes the test's scalars without forming the
-    p^2 x p^2 covariance; the dense functions are its oracle."""
+    p^2 x p^2 covariance; the dense functions in ``oracles`` are its oracle."""
 
     def _assert_matches(self, suite, eig, n):
         for form in PROPAGATOR_FORMS:
@@ -263,7 +267,7 @@ class TestScalarPathMatchesDenseOracle:
                 assert asym.cov_trace == pytest.approx(np.trace(cov), rel=1e-10)
                 top = eigenvalue_cov(suite, eig, n, divisor, form)[0, 0]
                 assert asym.top_variance == pytest.approx(top, rel=1e-10)
-                corrected = corrected_top_eigenvalue(eig, shrink(suite, eig, asym), asym)
+                corrected = corrected_top_eigenvalue(eig, shrink(eig, asym), asym)
                 bias, warned = bias_term(eig, cov)
                 assert corrected.bias == pytest.approx(bias, rel=1e-10)
                 assert corrected.gap_warning == warned
@@ -288,6 +292,6 @@ class TestScalarPathMatchesDenseOracle:
         eig = normalized_precision_eigen(suite)
         assert eig.values[0] - eig.values[1] < 1e-12
         asym = build_asymptotics(suite, eig, 60)
-        corrected = corrected_top_eigenvalue(eig, shrink(suite, eig, asym), asym)
+        corrected = corrected_top_eigenvalue(eig, shrink(eig, asym), asym)
         assert corrected.gap_warning
         self._assert_matches(suite, eig, 60)

@@ -314,6 +314,15 @@ def _bad_input(tmp_path, kind):
         values = np.random.default_rng(0).standard_normal((100, 5)) * 1e100
         write_csv(Dataset(values=values), path)
         return ["test", str(path), "--form", "exact"]
+    if kind.startswith("negative-seed"):
+        write_csv(Dataset(values=np.random.default_rng(0).standard_normal((30, 3))), path)
+        return {
+            "negative-seed-simulate": ["simulate", "--model", "A", "--p", "3", "--n", "10",
+                                       "--out", str(tmp_path / "x.csv")],
+            "negative-seed-reproduce": ["reproduce", "--table", "sim1", "--replicates", "50",
+                                        "--out-dir", str(tmp_path)],
+            "negative-seed-compare": ["compare", str(path), str(path), "--M", "99"],
+        }[kind] + ["--seed", "-1"]
     values = np.random.default_rng(0).standard_normal((100, 5)) * 1e200
     write_csv(Dataset(values=values), path)
     return {
@@ -327,6 +336,7 @@ def _bad_input(tmp_path, kind):
 @pytest.mark.parametrize("kind", [
     "missing", "directory", "not-utf8", "oversized-field", "unwritable",
     "overflow-test", "overflow-fit-tree", "overflow-compare", "overflow-exact",
+    "negative-seed-simulate", "negative-seed-reproduce", "negative-seed-compare",
 ])
 def test_bad_input_is_a_typed_error(tmp_path, capsys, kind):
     argv = _bad_input(tmp_path, kind)

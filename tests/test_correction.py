@@ -10,17 +10,16 @@ from bnsparsity import (
     InputError,
     ShrinkageEstimate,
     analytic_normalized_precision,
-    bias_term,
     build_asymptotics,
     build_suite,
     corrected_top_eigenvalue,
-    normalized_precision_cov,
     normalized_precision_eigen,
     sample_dataset,
     shrink,
     tuned_top_eigenvalue_model,
 )
 from conftest import random_suite
+from oracles import bias_term, normalized_precision_cov
 
 
 def _plain_eigensystem(values):
@@ -44,12 +43,7 @@ def _dense_scalars(eig, cov):
 
 def _synthetic_shrinkage(intensity, eig):
     lam_star = (1.0 - intensity) * eig.values + intensity
-    return ShrinkageEstimate(
-        intensity=intensity,
-        shrunk_matrix=np.diag(lam_star),
-        shrunk_eigenvalues=lam_star,
-        cov_trace=0.1,
-    )
+    return ShrinkageEstimate(intensity=intensity, shrunk_eigenvalues=lam_star)
 
 
 class TestBiasTerm:
@@ -119,7 +113,7 @@ class TestCorrectedTopEigenvalue:
             suite, data = random_suite(rng, p=4, n=90)
             eig = normalized_precision_eigen(suite)
             asym = build_asymptotics(suite, eig, data.n)
-            shr = shrink(suite, eig, asym)
+            shr = shrink(eig, asym)
             out = corrected_top_eigenvalue(eig, shr, asym)
             rho = shr.intensity
             identity = (1.0 - rho) * (eig.values[0] - out.bias) + rho

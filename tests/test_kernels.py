@@ -1,4 +1,5 @@
-"""Matrix primitive identities and the symmetric eigensolver contract."""
+"""Identities of the dense vec, K, D and selector oracles and of the
+commutation permutation, and the symmetric eigensolver contract."""
 
 import numpy as np
 import pytest
@@ -7,19 +8,14 @@ from bnsparsity import (
     ConvergenceError,
     Dataset,
     InputError,
-    commutation_matrix,
-    diagonalization_matrix,
-    kron,
     run_basic_simulation,
-    scaled_frobenius_sq,
-    selector_matrix,
     symmetric_eigen,
-    vec,
     write_csv,
 )
 from bnsparsity.cli import main
-from bnsparsity.kernels import commutation_indices, unvec
+from bnsparsity.kernels import commutation_indices
 from conftest import random_suite
+from oracles import commutation_matrix, diagonalization_matrix, selector_matrix, vec
 
 
 def _jacobi_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,34 +91,13 @@ class TestVec:
     def test_identity(self):
         np.testing.assert_array_equal(vec(np.eye(2)), [1.0, 0.0, 0.0, 1.0])
 
-    def test_unvec_round_trip(self):
-        a = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(unvec(vec(a), 3, 4), a)
-
     def test_vec_of_triple_product(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             a, b, c = (rng.standard_normal((3, 3)) for _ in range(3))
             lhs = vec(a @ b @ c)
-            rhs = kron(c.T, a) @ vec(b)
+            rhs = np.kron(c.T, a) @ vec(b)
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), 1.0)
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_row_times_column(self):
-        out = kron(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[3.0, 6.0], [4.0, 8.0]])
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            a, b, c, d = (rng.standard_normal((2, 2)) for _ in range(4))
-            np.testing.assert_allclose(
-                kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12
-            )
 
 
 class TestCommutationMatrix:
@@ -153,7 +128,7 @@ class TestCommutationMatrix:
         for _ in range(10):
             a = rng.standard_normal((3, 3))
             b = rng.standard_normal((3, 3))
-            assert np.abs(k @ kron(a, b) - kron(b, a) @ k).max() <= 1e-12
+            assert np.abs(k @ np.kron(a, b) - np.kron(b, a) @ k).max() <= 1e-12
 
     def test_indices_match_dense(self):
         for p in (1, 2, 3, 7):
@@ -211,22 +186,6 @@ class TestSelectorMatrix:
         for p in (1, 3, 5):
             j = selector_matrix(p)
             np.testing.assert_array_equal(j.T @ j, np.eye(p))
-
-
-class TestScaledFrobenius:
-    def test_identity_is_one(self):
-        for p in (1, 4, 9):
-            assert scaled_frobenius_sq(np.eye(p)) == 1.0
-
-    def test_zero(self):
-        assert scaled_frobenius_sq(np.zeros((3, 3))) == 0.0
-
-    def test_forced_arithmetic(self):
-        assert scaled_frobenius_sq(np.array([[1.0, 2.0], [3.0, 4.0]])) == 15.0
-
-    def test_rejects_non_square(self):
-        with pytest.raises(InputError):
-            scaled_frobenius_sq(np.ones((2, 3)))
 
 
 class TestSymmetricEigen:

@@ -14,12 +14,12 @@ from bnsparsity import (
     NoiseSpec,
     WeightedDag,
     chow_liu,
-    gaussian_mutual_information,
     paired_permutation_equality,
     random_model,
     sample_dataset,
 )
 from bnsparsity import trees
+from oracles import gaussian_mutual_information
 
 def weighted_chain_model(rng, p=10):
     adjacency = np.zeros((p, p))
@@ -162,6 +162,14 @@ class TestMutualInformation:
 
     def test_perfect_correlation_is_finite(self):
         assert np.isfinite(gaussian_mutual_information(1.0))
+
+    def test_matrix_matches_scalar_oracle(self, rng):
+        x = rng.standard_normal((200, 5)) @ rng.standard_normal((5, 5))
+        values = np.column_stack([x, x[:, 0]])  # a duplicate hits the r^2 cap
+        corr = np.corrcoef(values, rowvar=False)
+        mi = trees._mutual_information_matrix(values)
+        for i, j in itertools.combinations(range(6), 2):
+            assert mi[i, j] == pytest.approx(gaussian_mutual_information(corr[i, j]), rel=1e-10)
 
 
 class TestChowLiu:
