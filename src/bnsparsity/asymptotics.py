@@ -27,7 +27,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .covariance import CovarianceSuite
 from .errors import InputError, InsufficientSampleError, SingularityError
-from .kernels import EigenSystem, commutation_indices
+from .kernels import EigenSystem, _check_dimension, commutation_indices
 
 # The first entry of DIVISOR_MODES and of PROPAGATOR_FORMS is the test
 # pipeline's default.
@@ -123,6 +123,8 @@ def normalization_propagator(suite: CovarianceSuite, form: str) -> np.ndarray:
     The matching V is taken at the same form's plug-in covariance
     (``_form_suite``).
     """
+    # refuse p over the cap before S (x) S (p^4 doubles) is built
+    _check_dimension(suite.p)
     _check_form(form)
     work = _form_suite(suite, form)
     # the largest entry of S (x) S is the square of S's largest entry

@@ -64,9 +64,18 @@ def default_names(p: int) -> list[str]:
 def read_csv(path) -> Dataset:
     """Read a dataset CSV: header row of names, then numeric rows.
 
-    Comma separated, '.' decimal, UTF-8. Parse failures, bytes that are not
-    UTF-8 included, raise :class:`CsvParseError` with the 1-based row and
-    column where known.
+    Comma separated, '.' decimal, UTF-8; a cell may be double-quoted. A cell
+    is read as Python's ``float()`` reads it, to the same bits: any spelling
+    ``float()`` accepts, with surrounding whitespace, exponents, ``1_000``
+    and non-ASCII digits included (``nan`` and ``inf`` parse, then
+    :class:`Dataset` refuses them). The body is parsed in one call to
+    numpy's C tokenizer, which converts each field with the correctly
+    rounded routine ``float()`` uses. Only when that call fails (a bad cell,
+    a ragged row, a byte that is not UTF-8, no data rows, a spelling that
+    only ``float()`` accepts) or could read the body otherwise than
+    ``float()`` does is the file read again with one ``float()`` call per
+    cell. Parse failures raise :class:`CsvParseError` with the 1-based row
+    and column where known.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -78,30 +87,71 @@ def read_csv(path) -> Dataset:
             names = [name.strip() for name in header]
             if not names or any(not name for name in names):
                 raise CsvParseError("header row has empty variable names", row=1)
-            rows = []
-            for lineno, record in enumerate(reader, start=2):
-                if not record:
-                    continue
-                if len(record) != len(names):
-                    raise CsvParseError(
-                        f"expected {len(names)} fields, got {len(record)}", row=lineno
-                    )
-                parsed = []
-                for colno, cell in enumerate(record, start=1):
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        raise CsvParseError(
-                            f"cannot parse {cell!r} as a number", row=lineno, column=colno
-                        ) from None
-                rows.append(parsed)
+            values = _tokenized_body(handle, len(names))
+            if values is None:
+                handle.seek(0)
+                reader = csv.reader(handle)
+                next(reader)
+                values = _float_rows(reader, len(names))
     except UnicodeDecodeError as err:
         raise CsvParseError(f"file is not UTF-8 text: {err.reason}") from None
     except csv.Error as err:
         raise CsvParseError(str(err), row=reader.line_num) from None
+    return Dataset(values=values, variable_names=names)
+
+
+def _tokenized_body(handle, p: int) -> np.ndarray | None:
+    """The rest of ``handle`` as a p-column array from numpy's C tokenizer,
+    or None where the per-cell ``float()`` reading must decide.
+
+    The tokenizer converts a field with ``PyOS_string_to_double``, the
+    routine ``float()`` uses, so a parse that succeeds has ``float()``'s
+    bits, and it fails on the spellings only ``float()`` reads. Three
+    bodies it would read differently go to the per-cell reading unparsed:
+    one without data rows (``np.loadtxt`` warns), one with the separators
+    \\x1c-\\x1f (the tokenizer strips them from a field as whitespace,
+    ``float()`` refuses them), and one with a line over the csv module's
+    field limit (``csv.reader`` refuses it).
+    """
+    try:
+        lines = handle.readlines()
+    except UnicodeDecodeError:
+        return None
+    body = "".join(lines)
+    if (
+        not body.strip("\r\n")
+        or any(sep in body for sep in "\x1c\x1d\x1e\x1f")
+        or max(map(len, lines)) > csv.field_size_limit()
+    ):
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape[1] == p else None
+
+
+def _float_rows(reader, p: int) -> np.ndarray:
+    """The rows after the header, one ``float()`` call per cell; a failure
+    names its row and column."""
+    rows = []
+    for lineno, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != p:
+            raise CsvParseError(f"expected {p} fields, got {len(record)}", row=lineno)
+        parsed = []
+        for colno, cell in enumerate(record, start=1):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise CsvParseError(
+                    f"cannot parse {cell!r} as a number", row=lineno, column=colno
+                ) from None
+        rows.append(parsed)
     if not rows:
         raise CsvParseError("no data rows after the header")
-    return Dataset(values=np.array(rows, dtype=float), variable_names=names)
+    return np.array(rows, dtype=float)
 
 
 def write_csv(dataset: Dataset, path) -> None:

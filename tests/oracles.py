@@ -13,9 +13,14 @@ All vectorized objects use column-major stacking, so that
 functions default to ``form="exact"``, the covariance their names promise;
 ``form="conservative"`` gives the test pipeline's inflated matrix, which is
 not that covariance (see ``bnsparsity.asymptotics.PROPAGATOR_FORMS``).
+
+``float_csv`` is the reference reading of the CSV format: one ``float()``
+call per cell, against which ``read_csv``'s tokenizer path is checked.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -26,8 +31,8 @@ from bnsparsity.asymptotics import (
     normalization_propagator,
 )
 from bnsparsity.correction import _gap_weighted_sum
-from bnsparsity.covariance import CovarianceSuite
-from bnsparsity.errors import InputError
+from bnsparsity.covariance import CovarianceSuite, Dataset
+from bnsparsity.errors import CsvParseError, InputError
 from bnsparsity.kernels import EigenSystem, _check_dimension, commutation_indices
 from bnsparsity.trees import _R_SQUARED_CAP
 
@@ -153,3 +158,42 @@ def gaussian_mutual_information(r: float) -> float:
     r^2 capped below 1 as in the tree fit's batched weights."""
     r2 = min(float(r) * float(r), _R_SQUARED_CAP)
     return -0.5 * float(np.log1p(-r2))
+
+
+def float_csv(path) -> Dataset:
+    """``read_csv`` as a loop of ``float()`` calls over ``csv.reader``
+    records, with the same errors, rows and columns."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CsvParseError("file is empty") from None
+            names = [name.strip() for name in header]
+            if not names or any(not name for name in names):
+                raise CsvParseError("header row has empty variable names", row=1)
+            rows = []
+            for lineno, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != len(names):
+                    raise CsvParseError(
+                        f"expected {len(names)} fields, got {len(record)}", row=lineno
+                    )
+                parsed = []
+                for colno, cell in enumerate(record, start=1):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise CsvParseError(
+                            f"cannot parse {cell!r} as a number", row=lineno, column=colno
+                        ) from None
+                rows.append(parsed)
+    except UnicodeDecodeError as err:
+        raise CsvParseError(f"file is not UTF-8 text: {err.reason}") from None
+    except csv.Error as err:
+        raise CsvParseError(str(err), row=reader.line_num) from None
+    if not rows:
+        raise CsvParseError("no data rows after the header")
+    return Dataset(values=np.array(rows, dtype=float), variable_names=names)

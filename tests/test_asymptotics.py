@@ -24,6 +24,7 @@ from bnsparsity.asymptotics import (
     _normalization_jacobian,
     divisor_value,
 )
+from bnsparsity import asymptotics, kernels
 from conftest import chain_dag, gaussian_dataset, random_suite
 from oracles import (
     bias_term,
@@ -125,6 +126,27 @@ class TestPropagator:
             fd = vec(plus.normalized_precision - minus.normalized_precision) / (2 * h)
             predicted = -(g.T @ vec(direction))
             assert np.abs(fd - predicted).max() <= 1e-5 * max(np.abs(fd).max(), 1e-12)
+
+    @pytest.mark.parametrize("form", PROPAGATOR_FORMS)
+    def test_refuses_p_over_the_cap_before_the_dense_work(self, rng, monkeypatch, form):
+        # at p = 129, S (x) S alone is 2.2 GB: the cap is checked before it
+        # is built or factored
+        suite, _ = random_suite(rng, p=5, n=80)
+        calls = []
+
+        def spy(real):
+            def counted(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(kernels, "MAX_DIMENSION", 4)
+        monkeypatch.setattr(asymptotics, "cho_factor", spy(asymptotics.cho_factor))
+        monkeypatch.setattr(np, "kron", spy(np.kron))
+        with pytest.raises(InputError, match="cap 4"):
+            normalization_propagator(suite, form)
+        assert calls == []
 
     @pytest.mark.parametrize("form", PROPAGATOR_FORMS)
     @pytest.mark.parametrize("p", [1, 2, 3, 7, 20])
