@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 
-# S (x) S and the normalization Jacobian are materialized densely; p^2 x p^2
-# storage is capped here.
+# The asymptotics factor the p^2 x p^2 matrix S (x) S densely, one p^4
+# array (2.1 GB at this cap) next to a 16 MB block of G's columns; the
+# dimension is capped here.
 MAX_DIMENSION = 128
 
 

@@ -1,7 +1,7 @@
 """Run manifests: every artifact file is written next to a manifest holding
 the command, every option and the master seed needed to reproduce it, and
-what else changes its bits: the numpy, scipy and BLAS builds and the BLAS
-thread count."""
+what else changes its bits: the numpy and scipy builds, the BLAS each was
+built against, and the BLAS thread count."""
 
 from __future__ import annotations
 
@@ -17,9 +17,11 @@ from . import __version__
 from .records import Record
 
 
-def _blas_build() -> tuple[str | None, str | None]:
-    """Name and version of the BLAS numpy was built against."""
-    config = np.show_config(mode="dicts")
+def _blas_build(module) -> tuple[str | None, str | None]:
+    """Name and version of the BLAS numpy or scipy was built against. They
+    can differ: scipy's carries the Cholesky factor and solve of S (x) S and
+    the condition estimate, numpy's the eigensolver and matrix products."""
+    config = module.show_config(mode="dicts")
     blas = config.get("Build Dependencies", {}).get("blas", {})
     return blas.get("name"), blas.get("version")
 
@@ -35,13 +37,16 @@ class RunManifest(Record):
     scipy_version: str
     blas_name: str | None
     blas_version: str | None
+    scipy_blas_name: str | None
+    scipy_blas_version: str | None
     openblas_num_threads: str | None
 
 
 def make_manifest(parameters: dict) -> RunManifest:
     """Manifest for a run whose every option, ``command`` included, is in
     ``parameters``; ``seed`` repeats the master seed, null for seedless runs."""
-    blas_name, blas_version = _blas_build()
+    blas_name, blas_version = _blas_build(np)
+    scipy_blas_name, scipy_blas_version = _blas_build(scipy)
     return RunManifest(
         command=parameters["command"],
         parameters=parameters,
@@ -52,6 +57,8 @@ def make_manifest(parameters: dict) -> RunManifest:
         scipy_version=scipy.__version__,
         blas_name=blas_name,
         blas_version=blas_version,
+        scipy_blas_name=scipy_blas_name,
+        scipy_blas_version=scipy_blas_version,
         openblas_num_threads=os.environ.get("OPENBLAS_NUM_THREADS"),
     )
 

@@ -71,6 +71,24 @@ def selector_matrix(p: int) -> np.ndarray:
     return j
 
 
+def normalization_jacobian(suite: CovarianceSuite, transpose: bool = False) -> np.ndarray:
+    """Jacobian J of the unit-diagonal normalization map at the suite's
+    precision, d vec(normalized) = J d vec(precision), or J.T: the diagonal
+    ``d (x) d`` (d = diag(precision)^-1/2) with the curvature term in the
+    diagonal-position columns, built column by column."""
+    p = suite.p
+    pd = suite.precision_diag
+    inv_sqrt = 1.0 / np.sqrt(pd)
+    scaled = suite.normalized_precision * (1.0 / pd)[None, :]
+    m = np.zeros((p * p, p))
+    for i in range(p):
+        m[i * p : (i + 1) * p, i] = scaled[:, i]
+    m = m + m[commutation_indices(p), :]
+    jac = np.diag(np.kron(inv_sqrt, inv_sqrt))
+    jac[:, diagonal_indices(p)] -= 0.5 * m
+    return jac.T if transpose else jac
+
+
 def gaussian_vec_cov(sigma: np.ndarray) -> np.ndarray:
     """Asymptotic covariance of the vectorized sample covariance, Gaussian
     case: ``(I + K)(S (x) S)``. Symmetric, and commutes with K."""
@@ -86,6 +104,8 @@ def propagation_vec_cov(suite: CovarianceSuite, form: str = "exact") -> np.ndarr
     ``V`` at the suite's covariance for the exact form (default), at the
     correlation scale for the conservative form."""
     _check_form(form)
+    if form == "exact":
+        return gaussian_vec_cov(suite.covariance)
     return gaussian_vec_cov(_form_suite(suite, form).covariance)
 
 

@@ -2,6 +2,8 @@
 Jacobian agreement, and Monte Carlo oracles at unit-test scale (the
 acceptance suite runs the full-size versions)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -20,8 +22,10 @@ from bnsparsity import (
 )
 from bnsparsity.asymptotics import (
     DIVISOR_MODES,
+    _block_columns,
     _form_suite,
     _normalization_jacobian,
+    _vec_cov_forms,
     divisor_value,
 )
 from bnsparsity import asymptotics, kernels
@@ -33,6 +37,7 @@ from oracles import (
     eigenvalue_cov,
     eigenvalue_gradients,
     gaussian_vec_cov,
+    normalization_jacobian,
     normalized_precision_cov,
     vec,
 )
@@ -130,35 +135,40 @@ class TestPropagator:
     @pytest.mark.parametrize("form", PROPAGATOR_FORMS)
     def test_refuses_p_over_the_cap_before_the_dense_work(self, rng, monkeypatch, form):
         # at p = 129, S (x) S alone is 2.2 GB: the cap is checked before it
-        # is built or factored
-        suite, _ = random_suite(rng, p=5, n=80)
+        # is built or factored. At p = 24 S (x) S is 2.7 MB, so a traced
+        # peak under 1 MB shows it was never allocated.
+        suite, _ = random_suite(rng, p=24, n=80)
         calls = []
 
-        def spy(real):
-            def counted(*args, **kwargs):
-                calls.append(real.__name__)
-                return real(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cho_factor(*args, **kwargs)
 
-            return counted
-
-        monkeypatch.setattr(kernels, "MAX_DIMENSION", 4)
-        monkeypatch.setattr(asymptotics, "cho_factor", spy(asymptotics.cho_factor))
-        monkeypatch.setattr(np, "kron", spy(np.kron))
-        with pytest.raises(InputError, match="cap 4"):
-            normalization_propagator(suite, form)
+        monkeypatch.setattr(kernels, "MAX_DIMENSION", 23)
+        monkeypatch.setattr(asymptotics, "cho_factor", counted)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="cap 23"):
+                normalization_propagator(suite, form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert calls == []
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("form", PROPAGATOR_FORMS)
     @pytest.mark.parametrize("p", [1, 2, 3, 7, 20])
     def test_in_place_solve_is_bitwise_the_copying_solve(self, form, p):
         # normalization_propagator factors and solves in place; the
-        # copy-making solve against kron(S, S) is kept here as the oracle
+        # copy-making solve against kron(S, S) is kept here as the oracle.
+        # For the exact form it is taken at the suite's own scale: the
+        # propagator's power-of-four plug-in scale changes no bits.
         rng = np.random.default_rng(p)
         x = rng.standard_normal((3 * p + 20, p)) @ rng.standard_normal((p, p))
         suite = suite_from_covariance(x.T @ x / len(x))
-        work = _form_suite(suite, form)
+        work = suite if form == "exact" else _form_suite(suite, form)
         s = work.covariance
-        jac = _normalization_jacobian(work)
+        jac = normalization_jacobian(work)
         rhs = jac.T if form == "exact" else jac
         oracle = cho_solve(cho_factor(np.kron(s, s), lower=True), rhs)
         assert np.array_equal(normalization_propagator(suite, form), oracle)
@@ -317,3 +327,118 @@ class TestScalarPathMatchesDenseOracle:
         corrected = corrected_top_eigenvalue(eig, shrink(eig, asym), asym)
         assert corrected.gap_warning
         self._assert_matches(suite, eig, 60)
+
+
+def _suite_and_eig(p, n=None, seed=None):
+    rng = np.random.default_rng(p if seed is None else seed)
+    n = 3 * p + 20 if n is None else n
+    x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+    suite = suite_from_covariance(x.T @ x / n)
+    return suite, normalized_precision_eigen(suite), n
+
+
+def _full_width_scalars(suite, eig, form, div):
+    """Trace, top variance and cross terms from the whole G of
+    ``normalization_propagator``, the trace summed in the same batches as
+    ``build_asymptotics``."""
+    p2 = suite.p * suite.p
+    g = normalization_propagator(suite, form)
+    sigma = suite.covariance if form == "exact" else _form_suite(suite, form).covariance
+    batch = _block_columns(p2)[0]
+    trace = 0.0
+    for k in range(0, p2, batch):
+        trace += float(_vec_cov_forms(sigma, g[:, k : k + batch]).sum())
+    forms = _vec_cov_forms(sigma, g @ np.kron(eig.vectors, eig.vectors[:, :1])) / div
+    return trace / div, forms[0], forms[1:]
+
+
+class TestStreamedPropagator:
+    """``build_asymptotics`` solves for G in column blocks; the full-width
+    ``normalization_propagator`` with the same forms is its oracle."""
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 5, 9])
+    def test_jacobian_columns_are_the_dense_jacobian(self, transpose, p):
+        # any column range, ragged last block included, holds the dense
+        # Jacobian's columns bit for bit
+        suite, _, _ = _suite_and_eig(p)
+        dense = normalization_jacobian(suite, transpose)
+        assert np.array_equal(_normalization_jacobian(suite, transpose), dense)
+        for start in range(0, p * p, 4):
+            out = np.full((p * p, min(4, p * p - start)), np.nan, order="F")
+            _normalization_jacobian(suite, transpose, start, out)
+            assert np.array_equal(out, dense[:, start : start + 4])
+
+    @pytest.mark.parametrize("form", PROPAGATOR_FORMS)
+    @pytest.mark.parametrize("divisor", DIVISOR_MODES)
+    @pytest.mark.parametrize("p", [7, 12, 20])
+    def test_blocks_match_the_full_width_propagator(self, monkeypatch, form, divisor, p):
+        suite, eig, n = _suite_and_eig(p)
+        trace, top, cross = _full_width_scalars(suite, eig, form, divisor_value(n, p, divisor))
+
+        # batches of 3 columns, blocks of 21: p^2 = 49, 144 and 400 all end
+        # in a ragged block
+        monkeypatch.setattr(asymptotics, "_TRACE_BATCH_ENTRIES", 3 * p * p)
+        monkeypatch.setattr(asymptotics, "_BLOCK_ENTRIES", 21 * p * p)
+        assert _block_columns(p * p) == (3, 21) and p * p % 21
+        starts = []
+        real = asymptotics._propagator_columns
+
+        def spy(work, factor, form, start, out):
+            starts.append((start, out.shape[1]))
+            return real(work, factor, form, start, out)
+
+        monkeypatch.setattr(asymptotics, "_propagator_columns", spy)
+        asym = build_asymptotics(suite, eig, n, divisor, form)
+        assert starts == [(s, min(21, p * p - s)) for s in range(0, p * p, 21)]
+        # measured worst over these cases at 1 and 2 BLAS threads: 3.8e-13
+        assert asym.cov_trace == pytest.approx(trace, rel=1e-12)
+        assert asym.top_variance == pytest.approx(top, rel=1e-12)
+        np.testing.assert_allclose(asym.cross_terms, cross, rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [7, 37])
+    def test_one_block_is_bitwise_the_full_width_propagator(self, p):
+        # up to p = 37 G is one block: the streamed scalars keep its bits
+        suite, eig, n = _suite_and_eig(p)
+        assert _block_columns(p * p)[1] == p * p
+        for form in PROPAGATOR_FORMS:
+            trace, top, cross = _full_width_scalars(suite, eig, form, n - p)
+            asym = build_asymptotics(suite, eig, n, "nminusp", form)
+            assert (asym.cov_trace, asym.top_variance) == (trace, top)
+            assert np.array_equal(asym.cross_terms, cross)
+
+    def test_holds_one_p4_array(self):
+        # S (x) S's factor (8 p^4 bytes), one block of G and p^2 x p
+        # arrays; the full-width path also held G, 2.13 x 8 p^4 in all
+        p = 48
+        suite, eig, n = _suite_and_eig(p, n=500)
+        block = 8 * p * p * _block_columns(p * p)[1]
+        assert block < 8 * p**4
+        tracemalloc.start()
+        try:
+            build_asymptotics(suite, eig, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * p**4 + block + (2 << 20)
+
+    @pytest.mark.parametrize("power", [-300, 300])
+    def test_exact_form_is_bitwise_invariant_under_power_of_two_scaling(self, power):
+        # data times 2**power scales S by 4**power exactly; the exact form's
+        # plug-ins are taken at a power-of-four scale of its own, so every
+        # scalar keeps its bits, where S (x) S itself would overflow or
+        # underflow
+        p = 6
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((50, p)) @ rng.standard_normal((p, p))
+        s = x.T @ x / len(x)
+        plain = suite_from_covariance(s)
+        scaled = suite_from_covariance(np.ldexp(s, 2 * power))
+        # the largest entry of S (x) S is out of double range
+        assert 2 * abs(np.log2(np.abs(scaled.covariance).max())) > 1074
+        eig = normalized_precision_eigen(plain)
+        assert np.array_equal(normalized_precision_eigen(scaled).vectors, eig.vectors)
+        a = build_asymptotics(plain, eig, len(x), form="exact")
+        b = build_asymptotics(scaled, eig, len(x), form="exact")
+        assert (a.cov_trace, a.top_variance) == (b.cov_trace, b.top_variance)
+        assert np.array_equal(a.cross_terms, b.cross_terms)
