@@ -13,7 +13,6 @@ from .asymptotics import (
     PROPAGATOR_FORMS,
     AsymptoticScalars,
     build_asymptotics,
-    normalization_propagator,
 )
 from .correction import CorrectedEigenvalue, corrected_top_eigenvalue
 from .covariance import (
@@ -94,7 +93,6 @@ __all__ = [
     "max_in_degree",
     "max_parents_test",
     "moral_graph",
-    "normalization_propagator",
     "normalized_precision_eigen",
     "paired_permutation_equality",
     "power_chain",

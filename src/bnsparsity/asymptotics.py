@@ -4,20 +4,21 @@ normalized precision, under Gaussian sampling.
 The chain is: the vectorized sample covariance has asymptotic covariance
 ``V = (I + K)(S (x) S)``; the delta method carries it through matrix
 inversion and diagonal normalization via a propagation factor ``G`` so that
-``Cov(vec of normalized precision) ~ C = G.T V G / divisor``.
+``Cov(vec of normalized precision) ~ C = G.T V G / divisor``. Vectorization
+stacks columns: ``vec(A)`` holds ``A[b, a]`` at position ``a p + b``, and K
+maps ``vec(A)`` to ``vec(A.T)``.
 
 The test needs only a few numbers from C: its trace, the variance of the
 top eigenvalue and p - 1 quadratic forms for the bias term.
 ``build_asymptotics`` factors S (x) S (one p^4 array, 2.1 GB at the p = 128
 cap), solves for G in column blocks of about 16 MB, and takes those numbers
 from each block with p x p products (``_vec_cov_forms``), never forming V,
-V G, C or the whole of G. ``normalization_propagator`` is the full-width G.
-The dense V, C and eigenvalue covariance are the oracles, in
-``tests/oracles.py``.
+V G, C or the whole of G. The full-width G, dense V, C and eigenvalue
+covariance are the oracles, in ``tests/oracles.py``.
 
-``normalization_propagator`` has no default form. The test pipeline
-(``build_asymptotics`` and its callers) defaults to ``form="conservative"``,
-whose C is not the covariance named above; see ``PROPAGATOR_FORMS``.
+The test pipeline (``build_asymptotics`` and its callers) defaults to
+``form="conservative"``, whose C is not the covariance named above; see
+``PROPAGATOR_FORMS``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .covariance import CovarianceSuite
 from .errors import InputError, InsufficientSampleError, SingularityError
-from .kernels import EigenSystem, _check_dimension
+from .kernels import EigenSystem
 
 # The first entry of DIVISOR_MODES and of PROPAGATOR_FORMS is the test
 # pipeline's default.
@@ -104,21 +105,15 @@ def divisor_value(n: int, p: int, mode: str = "nminusp") -> int:
 
 
 def _normalization_jacobian(
-    suite: CovarianceSuite,
-    transpose: bool = False,
-    start: int = 0,
-    out: np.ndarray | None = None,
+    suite: CovarianceSuite, transpose: bool, start: int, out: np.ndarray
 ) -> np.ndarray:
     """Columns ``start, start + 1, ...`` of the standard Jacobian J of the
     unit-diagonal normalization map at the sample precision,
     d vec(normalized) = J d vec(precision), or with ``transpose`` of J.T.
 
-    They fill ``out`` (p^2 rows, Fortran-ordered; by default a new array of
-    all p^2 columns), which is returned.
+    They fill ``out`` (p^2 rows, Fortran-ordered), which is returned.
     """
     p = suite.p
-    if out is None:
-        out = np.empty((p * p, p * p), order="F")
     cols = np.arange(start, start + out.shape[1])
     pd = suite.precision_diag
     inv_sqrt = 1.0 / np.sqrt(pd)
@@ -140,6 +135,22 @@ def _normalization_jacobian(
     return out
 
 
+# S (x) S is one dense p^4 array, 2.1 GB at this cap (next to a 16 MB block
+# of G's columns), so larger p is refused before it is built.
+MAX_DIMENSION = 128
+
+
+def _check_dimension(p: int) -> int:
+    p = int(p)
+    if p < 1:
+        raise InputError(f"dimension must be >= 1, got {p}")
+    if p > MAX_DIMENSION:
+        raise InputError(
+            f"dimension {p} exceeds the dense-construction cap {MAX_DIMENSION}"
+        )
+    return p
+
+
 def _factor_kron(work: CovarianceSuite):
     """``cho_factor`` of S (x) S at the plug-in covariance, built and factored
     in place in one Fortran-ordered p^2 x p^2 array.
@@ -157,50 +168,6 @@ def _factor_kron(work: CovarianceSuite):
         return cho_factor(kron, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
         raise SingularityError("S (x) S is not positive definite") from None
-
-
-def _propagator_columns(work: CovarianceSuite, factor, form: str, start: int, out: np.ndarray):
-    """Columns ``start, start + 1, ...`` of G into ``out``, in place: the
-    right-hand side J.T (exact) or J (conservative) is written there and
-    solved against the factor of S (x) S."""
-    _normalization_jacobian(work, transpose=form == "exact", start=start, out=out)
-    return cho_solve(factor, out, overwrite_b=True, check_finite=False)
-
-
-def _setup(suite: CovarianceSuite, form: str):
-    """The form's plug-in suite and the factor of its S (x) S."""
-    # refuse p over the cap before S (x) S (p^4 doubles) is built
-    _check_dimension(suite.p)
-    _check_form(form)
-    work = _form_suite(suite, form)
-    return work, _factor_kron(work)
-
-
-def normalization_propagator(suite: CovarianceSuite, form: str) -> np.ndarray:
-    """Delta-method factor G mapping covariance uncertainty to the
-    normalized precision: ``Cov(vec of normalized precision) ~ G.T V G``.
-
-    With ``form="exact"``, G solves ``(S (x) S) G = J.T`` where J is the
-    Jacobian of the normalization map; it enters the sandwich
-    transposed because the covariance propagates as ``J_total V J_total.T``
-    and the inverse-map Jacobian ``-(S (x) S)^{-1}`` is symmetric with a sign
-    that cancels, so ``-G.T`` is the derivative of the map covariance ->
-    normalized precision. ``form="conservative"`` solves against J
-    untransposed, at the correlation scale; it is not that derivative (see
-    ``PROPAGATOR_FORMS``). Both forms coincide at a diagonal covariance.
-    The matching V is taken at the suite's covariance for the exact form
-    and at the correlation scale for the conservative one.
-
-    This is the full-width oracle of ``build_asymptotics``, which streams G
-    in column blocks: it holds two p^4 arrays, S (x) S's factor and G.
-    """
-    work, factor = _setup(suite, form)
-    p2 = suite.p * suite.p
-    g = _propagator_columns(work, factor, form, 0, np.empty((p2, p2), order="F"))
-    if form == "exact":
-        # the plug-in S / 4**k gives 4**k G, exactly
-        np.ldexp(g, -2 * _exact_scale_exponent(suite), out=g)
-    return g
 
 
 # The trace takes G's columns in batches of about 2**16 entries (512 KB),
@@ -258,21 +225,27 @@ def _propagator_sums(suite: CovarianceSuite, form: str, vectors: np.ndarray):
     """G solved for block by block, reduced to what the test needs: the
     forms of V at its columns summed (the trace of G.T V G) and
     ``G @ kron(W, w_1)``, whose column j is ``G (w_j (x) w_1)``, with W the
-    eigenvectors ``vectors``.
+    eigenvectors ``vectors``. Also returns the form's plug-in covariance,
+    at which V is taken.
 
-    Only the factor of S (x) S, one block of G's columns and p^2 x p arrays
-    are alive. Blocks are a whole number of trace batches, so the trace sums
-    the same batches in the same order at any block size.
+    G solves ``(S (x) S) G = J.T`` (exact) or ``= J`` (conservative), with J
+    the Jacobian of the normalization map; see ``PROPAGATOR_FORMS``. Only
+    the factor of S (x) S, one block of G's columns and p^2 x p arrays are
+    alive. Blocks are a whole number of trace batches, so the trace sums the
+    same batches in the same order at any block size.
     """
-    work, factor = _setup(suite, form)
+    # refuse p over the cap before S (x) S (p^4 doubles) is built
+    p = _check_dimension(suite.p)
+    work = _form_suite(suite, _check_form(form))
+    factor = _factor_kron(work)
     sigma = work.covariance
-    p = suite.p
     p2 = p * p
     batch, width = _block_columns(p2)
     buf = np.empty((p2, width), order="F")
     trace = 0.0
     for start in range(0, p2, width):
-        block = _propagator_columns(work, factor, form, start, buf[:, : p2 - start])
+        rhs = _normalization_jacobian(work, form == "exact", start, buf[:, : p2 - start])
+        block = cho_solve(factor, rhs, overwrite_b=True, check_finite=False)
         if start + width >= p2:
             del factor  # solved against for the last time; freed before the trace
         for k in range(0, block.shape[1], batch):
@@ -287,7 +260,7 @@ def _propagator_sums(suite: CovarianceSuite, form: str, vectors: np.ndarray):
             for r in range(0, p2, width):
                 g_dirs[r : r + width] += block[r : r + width] @ rows
         del rows  # not alive through the next block's trace batches
-    return trace, g_dirs
+    return trace, g_dirs, sigma
 
 
 def build_asymptotics(
@@ -304,14 +277,15 @@ def build_asymptotics(
     p x p products. G's columns are solved for in blocks of about
     ``_BLOCK_ENTRIES`` entries, against one factor of ``S (x) S``
     (``_propagator_sums``). When G fits in one block (up to p = 37) the
-    scalars have the bits of the full-width ``normalization_propagator``.
+    scalars have the bits of a full-width solve. p above ``MAX_DIMENSION``
+    is refused with ``InputError`` before S (x) S is built.
 
     This is the test pipeline's entry point, so ``form`` defaults to
     "conservative", the first of ``PROPAGATOR_FORMS``.
     """
     div = divisor_value(n, suite.p, divisor)
-    trace, g_dirs = _propagator_sums(suite, form, eig.vectors)
-    forms = _vec_cov_forms(_form_suite(suite, form).covariance, g_dirs) / div
+    trace, g_dirs, sigma = _propagator_sums(suite, form, eig.vectors)
+    forms = _vec_cov_forms(sigma, g_dirs) / div
     return AsymptoticScalars(
         cov_trace=trace / div,
         top_variance=float(forms[0]),

@@ -40,11 +40,14 @@ def _gap_weighted_sum(
     increasing order, i the 1-based ``target_index``; ``cross_terms`` holds
     the p - 1 quadratic forms ``(w_j (x) w_i).T C (w_j (x) w_i)`` in that
     order. Terms whose gap is below the tolerance are skipped, and the
-    returned flag says whether any was.
+    returned flag says whether any was. The tolerance must be finite and
+    non-negative; ``None`` takes ``default_gap_tolerance``.
     """
     p = eig.p
     if gap_tolerance is None:
         gap_tolerance = default_gap_tolerance(p)
+    elif not 0.0 <= gap_tolerance < np.inf:
+        raise InputError(f"gap tolerance must be finite and >= 0, got {gap_tolerance}")
     i = target_index - 1
     total = 0.0
     warned = False

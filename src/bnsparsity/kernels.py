@@ -1,11 +1,6 @@
-"""The symmetric eigensolver (LAPACK, with a fixed order and sign rule) and
-the commutation permutation with its dimension cap.
+"""The symmetric eigensolver: LAPACK, with a fixed order and sign rule.
 
-Matrices are plain 2-D float64 numpy arrays. All vectorized (p^2-dimensional)
-objects in this package use column-major stacking: ``vec(A)`` stacks the
-columns of A, and the commutation matrix K maps ``vec(A)`` to ``vec(A.T)``.
-The dense vec, K, D and selector matrices are test oracles
-(``tests/oracles.py``); the test path applies K as a row permutation.
+Matrices are plain 2-D float64 numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,35 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-
-# The asymptotics factor the p^2 x p^2 matrix S (x) S densely, one p^4
-# array (2.1 GB at this cap) next to a 16 MB block of G's columns; the
-# dimension is capped here.
-MAX_DIMENSION = 128
-
-
-def _check_dimension(p: int) -> int:
-    p = int(p)
-    if p < 1:
-        raise InputError(f"dimension must be >= 1, got {p}")
-    if p > MAX_DIMENSION:
-        raise InputError(
-            f"dimension {p} exceeds the dense-construction cap {MAX_DIMENSION}"
-        )
-    return p
-
-
-def commutation_indices(p: int) -> np.ndarray:
-    """Row permutation ``idx`` with ``K @ v == v[idx]`` for the p^2 x p^2
-    commutation matrix K.
-
-    Lets callers apply K to large matrices without a p^2 x p^2 product:
-    ``K @ M == M[idx]`` and ``M @ K == M[:, idx]``.
-    """
-    p = _check_dimension(p)
-    # position r + p*c of vec(A.T) holds A[c, r] = vec(A)[c + p*r]
-    cols, rows = np.divmod(np.arange(p * p), p)
-    return cols + p * rows
 
 
 @dataclass(frozen=True)

@@ -298,9 +298,7 @@ def run_power_study(
     def model_for(dag: WeightedDag) -> GenerativeModel:
         # the edge-growth protocol regenerates only edge weights; error
         # variances stay at 1
-        return GenerativeModel(
-            kind="A", dag=dag, noise=NoiseSpec(variances=np.ones(p), family="gaussian")
-        )
+        return GenerativeModel(kind="A", dag=dag, noise=NoiseSpec(variances=np.ones(p)))
 
     # (slot, step) grid; slot 0 is the shared base graph, chains are 1-based.
     graph_models = [(0, 0, model_for(chain_set.base))]

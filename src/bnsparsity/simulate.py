@@ -109,17 +109,15 @@ class WeightedDag:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-vertex error scales (as variances) and the error family."""
+    """Per-vertex error scales (as variances). The error law is set by the
+    model's kind."""
 
     variances: np.ndarray
-    family: str = "gaussian"
 
     def __post_init__(self):
         object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
         if np.any(self.variances <= 0) or not np.all(np.isfinite(self.variances)):
             raise InputError("noise variances must be positive and finite")
-        if self.family not in ("gaussian", "t2", "t1"):
-            raise InputError(f"unknown noise family {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -251,8 +249,7 @@ def random_model(
         variances = rng.uniform(0.5, 1.5, size=p)
     else:
         variances = np.ones(p)
-    family = {"A": "gaussian", "B": "t2", "C": "t1", "D": "gaussian", "E": "gaussian"}[kind]
-    noise = NoiseSpec(variances=variances, family=family)
+    noise = NoiseSpec(variances=variances)
     glm = None
     nonlin = None
     if kind == "D":
@@ -305,13 +302,17 @@ def sample_dataset(model: GenerativeModel, n: int, rng=None) -> Dataset:
     return Dataset(values=x)
 
 
-def analytic_normalized_precision(dag: WeightedDag, noise: NoiseSpec):
-    """Exact normalized precision and its eigenvalues for Gaussian noise.
+def analytic_normalized_precision(model: GenerativeModel):
+    """Exact normalized precision and its eigenvalues of a kind-A (linear,
+    Gaussian errors) model; every other kind is refused.
 
     This is the ground truth for bias and calibration studies.
     """
-    if noise.family != "gaussian":
-        raise InputError("analytic form requires gaussian noise")
+    if model.kind != "A":
+        raise InputError(
+            f"analytic form needs a kind-A (linear-Gaussian) model, got kind {model.kind}"
+        )
+    dag, noise = model.dag, model.noise
     if noise.variances.size != dag.p:
         raise InputError("noise dimension does not match the graph")
     b = np.eye(dag.p) - dag.adjacency
@@ -446,5 +447,5 @@ def tuned_top_eigenvalue_model(
     return GenerativeModel(
         kind="A",
         dag=WeightedDag(adjacency=adjacency, order=np.arange(p)),
-        noise=NoiseSpec(variances=np.ones(p), family="gaussian"),
+        noise=NoiseSpec(variances=np.ones(p)),
     )

@@ -18,7 +18,7 @@ from scipy.special import betainc, stdtrit
 from .asymptotics import build_asymptotics
 from .correction import corrected_top_eigenvalue
 from .covariance import Dataset, build_suite, normalized_precision_eigen
-from .errors import DegenerateVarianceError, InputError, InsufficientSampleError
+from .errors import DegenerateVarianceError, InputError
 from .records import Record
 from .shrinkage import shrink
 
@@ -72,10 +72,6 @@ class SparsityTestResult(Record):
     n: int
     p: int
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SparsityTestResult":
-        return cls(**payload)
-
 
 def max_parents_test(
     data: Dataset,
@@ -98,10 +94,6 @@ def max_parents_test(
         raise InputError(f"alpha must be in (0, 1), got {alpha}")
     if data.p < 2:
         raise InputError(f"test needs p >= 2 variables, got p={data.p}")
-    if data.n <= data.p:
-        raise InsufficientSampleError(
-            f"need more samples than variables, got n={data.n}, p={data.p}"
-        )
     suite = build_suite(data)
     eig = normalized_precision_eigen(suite)
     asym = build_asymptotics(suite, eig, data.n, divisor, form)

@@ -92,9 +92,6 @@ class FittedTree:
     edges: list[tuple[int, int, float]]
     total_score: float
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, j, _ in self.edges}
-
     def to_edge_list(self) -> str:
         return edge_list_text(self.edges)
 
@@ -107,10 +104,6 @@ def _centered_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         moments = finite_second_moments((centered * centered).mean(axis=0))
     return centered, np.sqrt(moments)
-
-
-def _mutual_information_matrix(values: np.ndarray) -> np.ndarray:
-    return _mi_from_centered(*_centered_and_std(values))
 
 
 def _mi_from_centered(centered: np.ndarray, std: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from bnsparsity import (
     Dataset,
+    GenerativeModel,
     NoiseSpec,
     WeightedDag,
     build_suite,
@@ -22,7 +23,13 @@ def chain_dag(p: int, weight: float = 1.0) -> WeightedDag:
 
 
 def unit_noise(p: int) -> NoiseSpec:
-    return NoiseSpec(variances=np.ones(p), family="gaussian")
+    return NoiseSpec(variances=np.ones(p))
+
+
+def gaussian_model(dag: WeightedDag, noise: NoiseSpec | None = None) -> GenerativeModel:
+    """Kind-A (linear, Gaussian errors) model over ``dag``, with unit error
+    variances unless ``noise`` is given."""
+    return GenerativeModel(kind="A", dag=dag, noise=noise or unit_noise(dag.p))
 
 
 def random_suite(rng: np.random.Generator, p: int = 4, n: int = 200, max_in_degree: int = 2):

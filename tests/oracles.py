@@ -5,8 +5,9 @@ of the vectorized normalized precision, the variance of the top eigenvalue
 and p - 1 quadratic forms for the bias term. ``build_asymptotics`` computes
 them without forming C. This module builds the p^2 x p^2 objects they come
 from, so the tests and acceptance criteria can check the scalars against
-them: the vec and commutation identities, ``V = (I + K)(S (x) S)``,
-``C = G.T V G / divisor``, the eigenvalue covariance and the dense bias term.
+them: the vec and commutation identities, the full-width propagation
+factor G, ``V = (I + K)(S (x) S)``, ``C = G.T V G / divisor``, the
+eigenvalue covariance and the dense bias term.
 
 All vectorized objects use column-major stacking, so that
 ``vec(A @ B @ C) == np.kron(C.T, A) @ vec(B)`` holds. The delta-method
@@ -16,6 +17,8 @@ not that covariance (see ``bnsparsity.asymptotics.PROPAGATOR_FORMS``).
 
 ``float_csv`` is the reference reading of the CSV format: one ``float()``
 call per cell, against which ``read_csv``'s tokenizer path is checked.
+``mutual_information_matrix`` is the tree fit's weight matrix, for the
+spanning-tree oracles.
 """
 
 from __future__ import annotations
@@ -23,23 +26,37 @@ from __future__ import annotations
 import csv
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from bnsparsity.asymptotics import (
+    _check_dimension,
     _check_form,
+    _exact_scale_exponent,
+    _factor_kron,
     _form_suite,
+    _normalization_jacobian,
     divisor_value,
-    normalization_propagator,
 )
 from bnsparsity.correction import _gap_weighted_sum
 from bnsparsity.covariance import CovarianceSuite, Dataset
 from bnsparsity.errors import CsvParseError, InputError
-from bnsparsity.kernels import EigenSystem, _check_dimension, commutation_indices
-from bnsparsity.trees import _R_SQUARED_CAP
+from bnsparsity.kernels import EigenSystem
+from bnsparsity.trees import _R_SQUARED_CAP, _centered_and_std, _mi_from_centered
 
 
 def vec(a: np.ndarray) -> np.ndarray:
     """Stack the columns of ``a`` into one vector (column-major)."""
     return np.asarray(a, dtype=float).reshape(-1, order="F")
+
+
+def commutation_indices(p: int) -> np.ndarray:
+    """Row permutation ``idx`` with ``K @ v == v[idx]`` for the p^2 x p^2
+    commutation matrix K, so that ``K @ M == M[idx]`` and
+    ``M @ K == M[:, idx]``."""
+    p = _check_dimension(p)
+    # position r + p*c of vec(A.T) holds A[c, r] = vec(A)[c + p*r]
+    cols, rows = np.divmod(np.arange(p * p), p)
+    return cols + p * rows
 
 
 def commutation_matrix(p: int) -> np.ndarray:
@@ -87,6 +104,36 @@ def normalization_jacobian(suite: CovarianceSuite, transpose: bool = False) -> n
     jac = np.diag(np.kron(inv_sqrt, inv_sqrt))
     jac[:, diagonal_indices(p)] -= 0.5 * m
     return jac.T if transpose else jac
+
+
+def normalization_propagator(suite: CovarianceSuite, form: str) -> np.ndarray:
+    """Delta-method factor G mapping covariance uncertainty to the
+    normalized precision: ``Cov(vec of normalized precision) ~ G.T V G``.
+
+    With ``form="exact"``, G solves ``(S (x) S) G = J.T`` where J is the
+    Jacobian of the normalization map; it enters the sandwich
+    transposed because the covariance propagates as ``J_total V J_total.T``
+    and the inverse-map Jacobian ``-(S (x) S)^{-1}`` is symmetric with a sign
+    that cancels, so ``-G.T`` is the derivative of the map covariance ->
+    normalized precision. ``form="conservative"`` solves against J
+    untransposed, at the correlation scale; it is not that derivative (see
+    ``PROPAGATOR_FORMS``). Both forms coincide at a diagonal covariance.
+    The matching V is ``propagation_vec_cov``.
+
+    This is the full-width oracle of ``build_asymptotics``, which solves for
+    G in column blocks with the same factor and right-hand sides. It has no
+    default form; its callers name one.
+    """
+    _check_dimension(suite.p)
+    work = _form_suite(suite, _check_form(form))
+    factor = _factor_kron(work)
+    p2 = suite.p * suite.p
+    rhs = _normalization_jacobian(work, form == "exact", 0, np.empty((p2, p2), order="F"))
+    g = cho_solve(factor, rhs, overwrite_b=True, check_finite=False)
+    if form == "exact":
+        # the plug-in S / 4**k gives 4**k G, exactly
+        np.ldexp(g, -2 * _exact_scale_exponent(suite), out=g)
+    return g
 
 
 def gaussian_vec_cov(sigma: np.ndarray) -> np.ndarray:
@@ -178,6 +225,12 @@ def gaussian_mutual_information(r: float) -> float:
     r^2 capped below 1 as in the tree fit's batched weights."""
     r2 = min(float(r) * float(r), _R_SQUARED_CAP)
     return -0.5 * float(np.log1p(-r2))
+
+
+def mutual_information_matrix(values: np.ndarray) -> np.ndarray:
+    """Pairwise mutual-information weights of the columns of ``values``, as
+    ``chow_liu`` computes them."""
+    return _mi_from_centered(*_centered_and_std(values))
 
 
 def float_csv(path) -> Dataset:

@@ -23,7 +23,6 @@ from bnsparsity import (
     max_in_degree,
     max_parents_test,
     moral_graph,
-    normalization_propagator,
     normalized_precision_eigen,
     paired_permutation_equality,
     random_dag,
@@ -36,11 +35,12 @@ from bnsparsity import (
     suite_from_covariance,
     tuned_top_eigenvalue_model,
 )
-from bnsparsity.trees import _mutual_information_matrix
-from conftest import chain_dag, unit_noise
+from conftest import chain_dag, gaussian_model, unit_noise
 from oracles import (
     commutation_matrix,
     diagonalization_matrix,
+    mutual_information_matrix,
+    normalization_propagator,
     propagation_vec_cov,
     selector_matrix,
     vec,
@@ -88,7 +88,7 @@ def test_criterion_02_tree_eigenvalue_bound_and_forest_equivalence():
         p = int(rng.integers(3, 26))
         dag = random_dag(p, 1, rng=rng)
         noise = NoiseSpec(variances=rng.uniform(0.5, 1.5, p))
-        _, values = analytic_normalized_precision(dag, noise)
+        _, values = analytic_normalized_precision(gaussian_model(dag, noise))
         worst_top = max(worst_top, values[0])
         if values[0] > 2.0 + 1e-9:
             break
@@ -430,14 +430,14 @@ def test_criterion_12_tree_fit_oracles():
         )
         data = sample_dataset(model, 1000, rng=rng)
         tree = chow_liu(data)
-        hits += tree.edge_set() == {(j - 1, j) for j in range(1, 10)}
+        hits += {(i, j) for i, j, _ in tree.edges} == {(j - 1, j) for j in range(1, 10)}
 
     optimal = True
     for _ in range(50):
         p = int(rng.integers(3, 9))
         values = rng.standard_normal((60, p)) @ rng.standard_normal((p, p))
         tree = chow_liu(Dataset(values=values))
-        mi = _mutual_information_matrix(values)
+        mi = mutual_information_matrix(values)
         best = _prufer_best_score(mi)
         if not np.isclose(tree.total_score, best, rtol=1e-9, atol=1e-12):
             optimal = False

@@ -15,7 +15,6 @@ from bnsparsity import (
     build_asymptotics,
     build_suite,
     corrected_top_eigenvalue,
-    normalization_propagator,
     normalized_precision_eigen,
     shrink,
     suite_from_covariance,
@@ -28,7 +27,7 @@ from bnsparsity.asymptotics import (
     _vec_cov_forms,
     divisor_value,
 )
-from bnsparsity import asymptotics, kernels
+from bnsparsity import asymptotics
 from conftest import chain_dag, gaussian_dataset, random_suite
 from oracles import (
     bias_term,
@@ -38,6 +37,7 @@ from oracles import (
     eigenvalue_gradients,
     gaussian_vec_cov,
     normalization_jacobian,
+    normalization_propagator,
     normalized_precision_cov,
     vec,
 )
@@ -103,6 +103,8 @@ class TestPropagator:
         suite = suite_from_covariance(np.eye(2))
         with pytest.raises(InputError):
             normalization_propagator(suite, form="fast")
+        with pytest.raises(InputError, match="form must be one of"):
+            build_asymptotics(suite, normalized_precision_eigen(suite), 10, form="fast")
 
     def test_conservative_inflates_trace(self, rng):
         # the conservative form over-weights the normalization curvature,
@@ -137,19 +139,20 @@ class TestPropagator:
         # at p = 129, S (x) S alone is 2.2 GB: the cap is checked before it
         # is built or factored. At p = 24 S (x) S is 2.7 MB, so a traced
         # peak under 1 MB shows it was never allocated.
-        suite, _ = random_suite(rng, p=24, n=80)
+        suite, data = random_suite(rng, p=24, n=80)
+        eig = normalized_precision_eigen(suite)
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return cho_factor(*args, **kwargs)
 
-        monkeypatch.setattr(kernels, "MAX_DIMENSION", 23)
+        monkeypatch.setattr(asymptotics, "MAX_DIMENSION", 23)
         monkeypatch.setattr(asymptotics, "cho_factor", counted)
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match="cap 23"):
-                normalization_propagator(suite, form)
+                build_asymptotics(suite, eig, data.n, form=form)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -159,8 +162,8 @@ class TestPropagator:
     @pytest.mark.parametrize("form", PROPAGATOR_FORMS)
     @pytest.mark.parametrize("p", [1, 2, 3, 7, 20])
     def test_in_place_solve_is_bitwise_the_copying_solve(self, form, p):
-        # normalization_propagator factors and solves in place; the
-        # copy-making solve against kron(S, S) is kept here as the oracle.
+        # the propagator factors and solves in place; the copy-making
+        # solve against kron(S, S) is kept here as the oracle.
         # For the exact form it is taken at the suite's own scale: the
         # propagator's power-of-four plug-in scale changes no bits.
         rng = np.random.default_rng(p)
@@ -363,7 +366,8 @@ class TestStreamedPropagator:
         # Jacobian's columns bit for bit
         suite, _, _ = _suite_and_eig(p)
         dense = normalization_jacobian(suite, transpose)
-        assert np.array_equal(_normalization_jacobian(suite, transpose), dense)
+        full = np.empty((p * p, p * p), order="F")
+        assert np.array_equal(_normalization_jacobian(suite, transpose, 0, full), dense)
         for start in range(0, p * p, 4):
             out = np.full((p * p, min(4, p * p - start)), np.nan, order="F")
             _normalization_jacobian(suite, transpose, start, out)
@@ -382,13 +386,13 @@ class TestStreamedPropagator:
         monkeypatch.setattr(asymptotics, "_BLOCK_ENTRIES", 21 * p * p)
         assert _block_columns(p * p) == (3, 21) and p * p % 21
         starts = []
-        real = asymptotics._propagator_columns
+        real = asymptotics._normalization_jacobian
 
-        def spy(work, factor, form, start, out):
+        def spy(work, transpose, start, out):
             starts.append((start, out.shape[1]))
-            return real(work, factor, form, start, out)
+            return real(work, transpose, start, out)
 
-        monkeypatch.setattr(asymptotics, "_propagator_columns", spy)
+        monkeypatch.setattr(asymptotics, "_normalization_jacobian", spy)
         asym = build_asymptotics(suite, eig, n, divisor, form)
         assert starts == [(s, min(21, p * p - s)) for s in range(0, p * p, 21)]
         # measured worst over these cases at 1 and 2 BLAS threads: 3.8e-13

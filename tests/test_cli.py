@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from bnsparsity import Dataset, max_parents_test, read_csv, write_csv
+from bnsparsity import Dataset, asymptotics, max_parents_test, read_csv, write_csv
 from bnsparsity.cli import main, run
 from conftest import chain_dag
 from bnsparsity import GenerativeModel, NoiseSpec, sample_dataset
@@ -321,6 +321,10 @@ def _bad_input(tmp_path, kind):
                                         "--out-dir", str(tmp_path)],
             "negative-seed-compare": ["compare", str(path), str(path), "--M", "99"],
         }[kind] + ["--seed", "-1"]
+    if kind.startswith("gap-tol"):
+        write_csv(Dataset(values=np.random.default_rng(0).standard_normal((40, 6))), path)
+        value = {"gap-tol-nan": "nan", "gap-tol-negative": "-1", "gap-tol-inf": "inf"}[kind]
+        return ["test", str(path), "--gap-tol", value]
     values = np.random.default_rng(0).standard_normal((100, 5)) * 1e200
     write_csv(Dataset(values=values), path)
     return {
@@ -335,6 +339,7 @@ def _bad_input(tmp_path, kind):
     "missing", "directory", "not-utf8", "oversized-field", "unwritable",
     "overflow-test", "overflow-fit-tree", "overflow-compare",
     "negative-seed-simulate", "negative-seed-reproduce", "negative-seed-compare",
+    "gap-tol-nan", "gap-tol-negative", "gap-tol-inf",
 ])
 def test_bad_input_is_a_typed_error(tmp_path, capsys, kind):
     argv = _bad_input(tmp_path, kind)
@@ -343,6 +348,20 @@ def test_bad_input_is_a_typed_error(tmp_path, capsys, kind):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_dimension_over_the_cap_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    # the cap is lowered below the file's p, not met with a real p = 129
+    # file: if the check came after S (x) S, that would allocate 2.2 GB
+    path = tmp_path / "wide.csv"
+    write_csv(Dataset(values=np.random.default_rng(0).standard_normal((40, 6))), path)
+    monkeypatch.setattr(asymptotics, "MAX_DIMENSION", 5)
+    capsys.readouterr()
+    assert run_cli("test", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "dimension 6 exceeds the dense-construction cap 5" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.filterwarnings("error")

@@ -124,7 +124,7 @@ class TestCorrectedTopEigenvalue:
         # fixed truth; the corrected mean must land closer to the true top
         # eigenvalue than the raw sample mean does
         model = tuned_top_eigenvalue_model(1.6, p=4)
-        _, truth = analytic_normalized_precision(model.dag, model.noise)
+        _, truth = analytic_normalized_precision(model)
         top_truth = truth[0]
         reps, n = 10_000, 200
         raw = np.empty(reps)

@@ -20,7 +20,7 @@ from bnsparsity import (
     suite_from_covariance,
     write_csv,
 )
-from conftest import chain_dag, unit_noise, gaussian_dataset
+from conftest import chain_dag, gaussian_dataset, gaussian_model
 from oracles import float_csv
 
 
@@ -86,7 +86,7 @@ class TestSuite:
 
     def test_three_node_chain_analytic(self):
         dag = chain_dag(3)
-        omega, values = analytic_normalized_precision(dag, unit_noise(3))
+        omega, values = analytic_normalized_precision(gaussian_model(dag))
         # adjacent entries -1/2 and -1/sqrt(2), zero corner
         assert omega[0, 1] == pytest.approx(-0.5, abs=1e-12)
         assert omega[1, 2] == pytest.approx(-1.0 / np.sqrt(2.0), abs=1e-12)
@@ -157,7 +157,7 @@ class TestOmegaEigenvalues:
         # light version of the tree bound; the acceptance suite runs 500
         for _ in range(20):
             dag = random_dag(6, 1, rng=rng)
-            _, values = analytic_normalized_precision(dag, unit_noise(6))
+            _, values = analytic_normalized_precision(gaussian_model(dag))
             assert values[0] <= 2.0 + 1e-9
 
 

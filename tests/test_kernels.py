@@ -13,9 +13,14 @@ from bnsparsity import (
     write_csv,
 )
 from bnsparsity.cli import main
-from bnsparsity.kernels import commutation_indices
 from conftest import random_suite
-from oracles import commutation_matrix, diagonalization_matrix, selector_matrix, vec
+from oracles import (
+    commutation_indices,
+    commutation_matrix,
+    diagonalization_matrix,
+    selector_matrix,
+    vec,
+)
 
 
 def _jacobi_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

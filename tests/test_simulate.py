@@ -21,7 +21,7 @@ from bnsparsity import (
     sample_dataset,
     tuned_top_eigenvalue_model,
 )
-from conftest import chain_dag, unit_noise
+from conftest import chain_dag, gaussian_model, unit_noise
 
 
 class TestWeightedDag:
@@ -105,8 +105,6 @@ class TestGenerativeModel:
     def test_noise_spec_validation(self):
         with pytest.raises(InputError):
             NoiseSpec(variances=np.array([1.0, 0.0]))
-        with pytest.raises(InputError):
-            NoiseSpec(variances=np.ones(2), family="t3")
 
 
 class TestSampleDataset:
@@ -170,27 +168,28 @@ class TestSampleDataset:
 class TestAnalyticTruth:
     def test_empty_graph(self):
         dag = WeightedDag(adjacency=np.zeros((5, 5)), order=np.arange(5))
-        omega, values = analytic_normalized_precision(dag, unit_noise(5))
+        omega, values = analytic_normalized_precision(gaussian_model(dag))
         np.testing.assert_allclose(omega, np.eye(5), atol=1e-12)
         np.testing.assert_allclose(values, np.ones(5), atol=1e-12)
 
     def test_chain_eigenvalues(self):
-        _, values = analytic_normalized_precision(chain_dag(3), unit_noise(3))
+        _, values = analytic_normalized_precision(gaussian_model(chain_dag(3)))
         expected = [1.0 + np.sqrt(3.0) / 2.0, 1.0, 1.0 - np.sqrt(3.0) / 2.0]
         np.testing.assert_allclose(values, expected, atol=1e-10)
 
-    def test_requires_gaussian(self):
-        with pytest.raises(InputError):
-            analytic_normalized_precision(
-                chain_dag(3), NoiseSpec(variances=np.ones(3), family="t2")
-            )
+    @pytest.mark.parametrize("kind", ["B", "C", "D", "E"])
+    def test_refuses_every_kind_but_a(self, rng, kind):
+        # the truth is linear-Gaussian; heavy-tailed, GLM and nonlinear
+        # models have another
+        with pytest.raises(InputError, match="kind-A"):
+            analytic_normalized_precision(random_model(kind, 5, 1, rng=rng))
 
     def test_tree_bound_light(self, rng):
         for _ in range(30):
             p = int(rng.integers(3, 10))
             dag = random_dag(p, 1, rng=rng)
             noise = NoiseSpec(variances=rng.uniform(0.5, 1.5, p))
-            _, values = analytic_normalized_precision(dag, noise)
+            _, values = analytic_normalized_precision(gaussian_model(dag, noise))
             assert values[0] <= 2.0 + 1e-9
 
 
@@ -283,12 +282,12 @@ class TestTunedModel:
     @pytest.mark.parametrize("target", [2.0, 2.4])
     def test_hits_target(self, target):
         model = tuned_top_eigenvalue_model(target, p=20)
-        _, values = analytic_normalized_precision(model.dag, model.noise)
+        _, values = analytic_normalized_precision(model)
         assert values[0] == pytest.approx(target, abs=1e-8)
 
     def test_large_target(self):
         model = tuned_top_eigenvalue_model(5.8, p=20)
-        _, values = analytic_normalized_precision(model.dag, model.noise)
+        _, values = analytic_normalized_precision(model)
         assert values[0] == pytest.approx(5.8, abs=1e-8)
 
     def test_unreachable_target(self):

@@ -184,7 +184,7 @@ class TestMaxParentsTest:
             "n",
             "p",
         ]
-        assert SparsityTestResult.from_dict(parsed) == result
+        assert SparsityTestResult(**parsed) == result
 
     def test_sigma_matches_invariant(self, rng):
         model = random_model("A", 5, 2, rng=rng)
