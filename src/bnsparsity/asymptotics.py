@@ -10,11 +10,12 @@ maps ``vec(A)`` to ``vec(A.T)``.
 
 The test needs only a few numbers from C: its trace, the variance of the
 top eigenvalue and p - 1 quadratic forms for the bias term.
-``build_asymptotics`` factors S (x) S (one p^4 array, 2.1 GB at the p = 128
-cap), solves for G in column blocks of about 16 MB, and takes those numbers
-from each block with p x p products (``_vec_cov_forms``), never forming V,
-V G, C or the whole of G. The full-width G, dense V, C and eigenvalue
-covariance are the oracles, in ``tests/oracles.py``.
+``build_asymptotics`` factors S (x) S and inverts it from the factor, in
+one p^4 array (2.1 GB at the p = 128 cap), builds G in that same array from
+the sparse Jacobian of the normalization map, and takes those numbers from
+G with p x p products (``_vec_cov_forms``), never forming V, V G or C. G
+solved for with ``cho_solve``, dense V, C and the eigenvalue covariance are
+the oracles, in ``tests/oracles.py``.
 
 The test pipeline (``build_asymptotics`` and its callers) defaults to
 ``form="conservative"``, whose C is not the covariance named above; see
@@ -26,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dpotri
 
 from .covariance import CovarianceSuite
 from .errors import InputError, InsufficientSampleError, SingularityError
@@ -104,39 +107,8 @@ def divisor_value(n: int, p: int, mode: str = "nminusp") -> int:
     return n - p if mode == "nminusp" else n
 
 
-def _normalization_jacobian(
-    suite: CovarianceSuite, transpose: bool, start: int, out: np.ndarray
-) -> np.ndarray:
-    """Columns ``start, start + 1, ...`` of the standard Jacobian J of the
-    unit-diagonal normalization map at the sample precision,
-    d vec(normalized) = J d vec(precision), or with ``transpose`` of J.T.
-
-    They fill ``out`` (p^2 rows, Fortran-ordered), which is returned.
-    """
-    p = suite.p
-    cols = np.arange(start, start + out.shape[1])
-    pd = suite.precision_diag
-    inv_sqrt = 1.0 / np.sqrt(pd)
-    scaled = suite.normalized_precision * (1.0 / pd)[None, :]
-    out.fill(0.0)
-    out[cols, cols - start] = np.kron(inv_sqrt, inv_sqrt)[cols]
-    # J is diag(d (x) d), d = diag(precision)^-1/2, with -m_i / 2 added to
-    # its diagonal-position column i (p + 1), where m_i = vec(s_i e_i' +
-    # e_i s_i') and s_i is column i of scaled. The m_i have 2p^2 - p
-    # nonzeros in all, listed here as (position, column, value).
-    a, b = np.divmod(np.arange(p * p), p)  # vec position a p + b holds entry (b, a)
-    off = a != b
-    position = np.concatenate([np.arange(p * p), np.flatnonzero(off)])
-    diag = np.concatenate([a, b[off]]) * (p + 1)
-    m = np.concatenate([np.where(off, 1.0, 2.0) * scaled[b, a], scaled[a[off], b[off]]])
-    rows, col = (diag, position) if transpose else (position, diag)
-    inside = (col >= start) & (col < start + out.shape[1])
-    out[rows[inside], col[inside] - start] -= 0.5 * m[inside]
-    return out
-
-
-# S (x) S is one dense p^4 array, 2.1 GB at this cap (next to a 16 MB block
-# of G's columns), so larger p is refused before it is built.
+# S (x) S is one dense p^4 array, 2.1 GB at this cap, which its factor, its
+# inverse and G then overwrite, so larger p is refused before it is built.
 MAX_DIMENSION = 128
 
 
@@ -174,16 +146,52 @@ def _factor_kron(work: CovarianceSuite):
 # which keeps the temporaries in cache: at p = 60 this was 2x faster than
 # one batch of all p^2 columns.
 _TRACE_BATCH_ENTRIES = 1 << 16
-# G is solved for in blocks of about 2**21 entries (16 MB) of its columns,
-# a whole number of trace batches, in one reused buffer. Up to p = 37 that
-# is all of G at once.
-_BLOCK_ENTRIES = 1 << 21
+# The inverse's lower triangle is copied onto its upper one in square tiles
+# of this width (128 KB), so that no temporary is larger than a tile; at
+# p = 60 this took 33 ms, against 44 ms with tiles of 64.
+_TILE = 128
 
 
-def _block_columns(p2: int) -> tuple[int, int]:
-    """Columns of G per trace batch and per block, for p^2 columns."""
-    batch = max(1, _TRACE_BATCH_ENTRIES // p2)
-    return batch, min(p2, max(1, _BLOCK_ENTRIES // p2 // batch) * batch)
+def _invert_kron(work: CovarianceSuite) -> np.ndarray:
+    """(S (x) S)^-1 at the plug-in covariance, in the array of its factor:
+    LAPACK's ``dpotri`` turns the Cholesky factor into the inverse's lower
+    triangle in place, which is then copied onto the upper one tile by tile.
+    """
+    factor, _ = _factor_kron(work)
+    inv, info = dpotri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise SingularityError("S (x) S is not positive definite")
+    n = inv.shape[0]
+    upper = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
+    for j in range(0, n, _TILE):
+        k = min(j + _TILE, n)
+        tile = inv[j:k, j:k]
+        np.copyto(tile, tile.T, where=upper[: k - j, : k - j])
+        for i in range(k, n, _TILE):
+            inv[j:k, i : i + _TILE] = inv[i : i + _TILE, j:k].T
+    return inv
+
+
+def _jacobian_parts(work: CovarianceSuite) -> tuple[np.ndarray, np.ndarray]:
+    """The standard Jacobian J of the unit-diagonal normalization map at the
+    plug-in precision, d vec(normalized) = J d vec(precision), in two sparse
+    parts: its diagonal ``d (x) d`` (d = diag(precision)^-1/2) and the p^2 x p
+    matrix ``mc`` whose column i is added to J's diagonal-position column
+    i (p + 1).
+
+    Column i of ``mc`` is -m_i / 2, where m_i = vec(s_i e_i' + e_i s_i') and
+    s_i is column i of the normalized precision divided by precision[i, i].
+    """
+    p = work.p
+    pd = work.precision_diag
+    inv_sqrt = 1.0 / np.sqrt(pd)
+    scaled = work.normalized_precision * (1.0 / pd)[None, :]
+    # m[a, b, i] is entry (b, a) of m_i, at vec position a p + b
+    m = np.zeros((p, p, p))
+    i = np.arange(p)
+    m[i, :, i] = scaled.T
+    m[:, i, i] += scaled
+    return np.kron(inv_sqrt, inv_sqrt), -0.5 * m.reshape(p * p, p)
 
 
 def _vec_cov_forms(sigma: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -221,46 +229,53 @@ class AsymptoticScalars:
     divisor: int
 
 
-def _propagator_sums(suite: CovarianceSuite, form: str, vectors: np.ndarray):
-    """G solved for block by block, reduced to what the test needs: the
-    forms of V at its columns summed (the trace of G.T V G) and
-    ``G @ kron(W, w_1)``, whose column j is ``G (w_j (x) w_1)``, with W the
-    eigenvectors ``vectors``. Also returns the form's plug-in covariance,
-    at which V is taken.
+def _propagator(work: CovarianceSuite, form: str) -> np.ndarray:
+    """G at the plug-ins ``work``: ``(S (x) S)^-1 J.T`` (exact) or
+    ``(S (x) S)^-1 J`` (conservative), with J the Jacobian of the
+    normalization map; see ``PROPAGATOR_FORMS``.
 
-    G solves ``(S (x) S) G = J.T`` (exact) or ``= J`` (conservative), with J
-    the Jacobian of the normalization map; see ``PROPAGATOR_FORMS``. Only
-    the factor of S (x) S, one block of G's columns and p^2 x p arrays are
-    alive. Blocks are a whole number of trace batches, so the trace sums the
-    same batches in the same order at any block size.
+    G is built in the array of the inverse from J's two sparse parts
+    (``_jacobian_parts``): the curvature part, a rank-p term, is taken with
+    the inverse first, then the inverse's columns are scaled by J's diagonal
+    and that term is added. Besides the p^4 array only p^2 x p arrays are
+    made.
+    """
+    p = work.p
+    g = _invert_kron(work)
+    diagonal, mc = _jacobian_parts(work)
+    at_diagonal = np.arange(p) * (p + 1)
+    if form == "exact":
+        # J.T holds column i of mc in its row i (p + 1)
+        inv_at_diagonal = g[:, at_diagonal]
+        g *= diagonal
+        # mc is C-ordered, so mc.T goes to BLAS without a copy
+        return dgemm(1.0, inv_at_diagonal, mc.T, beta=1.0, c=g, overwrite_c=1)
+    curvature = g @ mc
+    g *= diagonal
+    g[:, at_diagonal] += curvature
+    return g
+
+
+def _propagator_sums(suite: CovarianceSuite, form: str, vectors: np.ndarray):
+    """G (``_propagator``) reduced to what the test needs: the forms of V at
+    its columns summed (the trace of G.T V G) and ``G @ kron(W, w_1)``,
+    whose column j is ``G (w_j (x) w_1)``, with W the eigenvectors
+    ``vectors``. Also returns the form's plug-in covariance, at which V is
+    taken.
     """
     # refuse p over the cap before S (x) S (p^4 doubles) is built
     p = _check_dimension(suite.p)
     work = _form_suite(suite, _check_form(form))
-    factor = _factor_kron(work)
+    g = _propagator(work, form)
     sigma = work.covariance
     p2 = p * p
-    batch, width = _block_columns(p2)
-    buf = np.empty((p2, width), order="F")
+    batch = max(1, _TRACE_BATCH_ENTRIES // p2)
     trace = 0.0
-    for start in range(0, p2, width):
-        rhs = _normalization_jacobian(work, form == "exact", start, buf[:, : p2 - start])
-        block = cho_solve(factor, rhs, overwrite_b=True, check_finite=False)
-        if start + width >= p2:
-            del factor  # solved against for the last time; freed before the trace
-        for k in range(0, block.shape[1], batch):
-            trace += float(_vec_cov_forms(sigma, block[:, k : k + batch]).sum())
-        # rows start.. of kron(W, w_1)
-        a, b = np.divmod(np.arange(start, start + block.shape[1]), p)
-        rows = vectors[a] * vectors[b, :1]
-        if start == 0:
-            g_dirs = block @ rows
-        else:
-            # in row slices, so that no second p^2 x p array is made
-            for r in range(0, p2, width):
-                g_dirs[r : r + width] += block[r : r + width] @ rows
-        del rows  # not alive through the next block's trace batches
-    return trace, g_dirs, sigma
+    for k in range(0, p2, batch):
+        trace += float(_vec_cov_forms(sigma, g[:, k : k + batch]).sum())
+    # row a p + b of kron(W, w_1) is W[a] w_1[b]
+    a, b = np.divmod(np.arange(p2), p)
+    return trace, g @ (vectors[a] * vectors[b, :1]), sigma
 
 
 def build_asymptotics(
@@ -270,15 +285,15 @@ def build_asymptotics(
     divisor: str = "nminusp",
     form: str = "conservative",
 ) -> AsymptoticScalars:
-    """The test's plug-in scalars, without forming C or V or holding G.
+    """The test's plug-in scalars, without forming C or V.
 
     Each needed quadratic form of C is a form of V at a column of G, or at
     G applied to an eigenvector product, which ``_vec_cov_forms`` reduces to
-    p x p products. G's columns are solved for in blocks of about
-    ``_BLOCK_ENTRIES`` entries, against one factor of ``S (x) S``
-    (``_propagator_sums``). When G fits in one block (up to p = 37) the
-    scalars have the bits of a full-width solve. p above ``MAX_DIMENSION``
-    is refused with ``InputError`` before S (x) S is built.
+    p x p products. G is built in place in the inverse of ``S (x) S``,
+    which LAPACK forms from its Cholesky factor (``_propagator_sums``):
+    p^6 / 3 flops for the factor and 2 p^6 / 3 for the inverse, in one p^4
+    array. p above ``MAX_DIMENSION`` is refused with ``InputError`` before
+    S (x) S is built.
 
     This is the test pipeline's entry point, so ``form`` defaults to
     "conservative", the first of ``PROPAGATOR_FORMS``.

@@ -30,6 +30,13 @@ def default_gap_tolerance(p: int) -> float:
     return 1e-6 * p
 
 
+def check_gap_tolerance(gap_tolerance: float | None) -> None:
+    """Refuse a gap tolerance that is not finite and non-negative (``None``
+    stands for ``default_gap_tolerance``)."""
+    if gap_tolerance is not None and not 0.0 <= gap_tolerance < np.inf:
+        raise InputError(f"gap tolerance must be finite and >= 0, got {gap_tolerance}")
+
+
 def _gap_weighted_sum(
     eig: EigenSystem,
     cross_terms: np.ndarray | list[float],
@@ -44,10 +51,9 @@ def _gap_weighted_sum(
     non-negative; ``None`` takes ``default_gap_tolerance``.
     """
     p = eig.p
+    check_gap_tolerance(gap_tolerance)
     if gap_tolerance is None:
         gap_tolerance = default_gap_tolerance(p)
-    elif not 0.0 <= gap_tolerance < np.inf:
-        raise InputError(f"gap tolerance must be finite and >= 0, got {gap_tolerance}")
     i = target_index - 1
     total = 0.0
     warned = False

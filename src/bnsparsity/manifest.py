@@ -19,8 +19,9 @@ from .records import Record
 
 def _blas_build(module) -> tuple[str | None, str | None]:
     """Name and version of the BLAS numpy or scipy was built against. They
-    can differ: scipy's carries the Cholesky factor and solve of S (x) S and
-    the condition estimate, numpy's the eigensolver and matrix products."""
+    can differ: scipy's carries the Cholesky factor and inverse of S (x) S,
+    the exact form's rank-p update of G and the condition estimate, numpy's
+    the eigensolver and the other matrix products."""
     config = module.show_config(mode="dicts")
     blas = config.get("Build Dependencies", {}).get("blas", {})
     return blas.get("name"), blas.get("version")

@@ -5,9 +5,9 @@ Per-replicate seeds are derived from the master seed and the replicate
 coordinates, so results are bit-identical for any worker count. With
 ``threads > 1`` the replicates run in worker processes forked from the
 caller. Threads would not help: most of a test's time is scipy's Cholesky
-factor and solve in the asymptotics, which hold the GIL. Forked workers
-inherit the task list and everything the caller patched, and they run the
-same library calls, so no table depends on the worker count. Fork is
+factor and LAPACK's inverse in the asymptotics, which hold the GIL. Forked
+workers inherit the task list and everything the caller patched, and they
+run the same library calls, so no table depends on the worker count. Fork is
 unsafe in a caller that runs threads of its own: call with ``threads=1``
 there. Each worker keeps its own BLAS threads, so set
 ``OPENBLAS_NUM_THREADS=1`` when running more than one worker.

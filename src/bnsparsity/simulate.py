@@ -137,6 +137,11 @@ class GenerativeModel:
             raise InputError("glm_families must be given exactly for kind D")
         if (self.kind == "E") != (self.nonlinearities is not None):
             raise InputError("nonlinearities must be given exactly for kind E")
+        if self.noise.variances.shape != (self.dag.p,):
+            raise InputError(
+                f"noise variances must have one entry per vertex ({self.dag.p}), "
+                f"got shape {self.noise.variances.shape}"
+            )
         if self.glm_families is not None:
             if len(self.glm_families) != self.dag.p or any(
                 f not in GLM_FAMILIES for f in self.glm_families
@@ -313,8 +318,6 @@ def analytic_normalized_precision(model: GenerativeModel):
             f"analytic form needs a kind-A (linear-Gaussian) model, got kind {model.kind}"
         )
     dag, noise = model.dag, model.noise
-    if noise.variances.size != dag.p:
-        raise InputError("noise dimension does not match the graph")
     b = np.eye(dag.p) - dag.adjacency
     _, _, omega = normalize_precision(b @ np.diag(1.0 / noise.variances) @ b.T)
     eig = symmetric_eigen(omega)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import betainc, stdtrit
 
 from .asymptotics import build_asymptotics
-from .correction import corrected_top_eigenvalue
+from .correction import check_gap_tolerance, corrected_top_eigenvalue
 from .covariance import Dataset, build_suite, normalized_precision_eigen
 from .errors import DegenerateVarianceError, InputError
 from .records import Record
@@ -94,6 +94,7 @@ def max_parents_test(
         raise InputError(f"alpha must be in (0, 1), got {alpha}")
     if data.p < 2:
         raise InputError(f"test needs p >= 2 variables, got p={data.p}")
+    check_gap_tolerance(gap_tolerance)
     suite = build_suite(data)
     eig = normalized_precision_eigen(suite)
     asym = build_asymptotics(suite, eig, data.n, divisor, form)

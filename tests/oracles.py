@@ -34,7 +34,6 @@ from bnsparsity.asymptotics import (
     _exact_scale_exponent,
     _factor_kron,
     _form_suite,
-    _normalization_jacobian,
     divisor_value,
 )
 from bnsparsity.correction import _gap_weighted_sum
@@ -120,15 +119,14 @@ def normalization_propagator(suite: CovarianceSuite, form: str) -> np.ndarray:
     ``PROPAGATOR_FORMS``). Both forms coincide at a diagonal covariance.
     The matching V is ``propagation_vec_cov``.
 
-    This is the full-width oracle of ``build_asymptotics``, which solves for
-    G in column blocks with the same factor and right-hand sides. It has no
-    default form; its callers name one.
+    This is the oracle of ``build_asymptotics``, which builds G in place in
+    the inverse of the same factor, from the sparse parts of the same
+    Jacobian. It has no default form; its callers name one.
     """
     _check_dimension(suite.p)
     work = _form_suite(suite, _check_form(form))
     factor = _factor_kron(work)
-    p2 = suite.p * suite.p
-    rhs = _normalization_jacobian(work, form == "exact", 0, np.empty((p2, p2), order="F"))
+    rhs = normalization_jacobian(work, transpose=form == "exact")
     g = cho_solve(factor, rhs, overwrite_b=True, check_finite=False)
     if form == "exact":
         # the plug-in S / 4**k gives 4**k G, exactly

@@ -21,9 +21,8 @@ from bnsparsity import (
 )
 from bnsparsity.asymptotics import (
     DIVISOR_MODES,
-    _block_columns,
     _form_suite,
-    _normalization_jacobian,
+    _jacobian_parts,
     _vec_cov_forms,
     divisor_value,
 )
@@ -340,91 +339,94 @@ def _suite_and_eig(p, n=None, seed=None):
     return suite, normalized_precision_eigen(suite), n
 
 
-def _full_width_scalars(suite, eig, form, div):
-    """Trace, top variance and cross terms from the whole G of
-    ``normalization_propagator``, the trace summed in the same batches as
-    ``build_asymptotics``."""
-    p2 = suite.p * suite.p
+def _cho_solve_scalars(suite, eig, form, div):
+    """Trace, top variance and cross terms from the G of
+    ``normalization_propagator``, solved for with ``cho_solve``."""
     g = normalization_propagator(suite, form)
     sigma = suite.covariance if form == "exact" else _form_suite(suite, form).covariance
-    batch = _block_columns(p2)[0]
-    trace = 0.0
-    for k in range(0, p2, batch):
-        trace += float(_vec_cov_forms(sigma, g[:, k : k + batch]).sum())
+    trace = float(_vec_cov_forms(sigma, g).sum())
     forms = _vec_cov_forms(sigma, g @ np.kron(eig.vectors, eig.vectors[:, :1])) / div
     return trace / div, forms[0], forms[1:]
 
 
-class TestStreamedPropagator:
-    """``build_asymptotics`` solves for G in column blocks; the full-width
-    ``normalization_propagator`` with the same forms is its oracle."""
+class TestInPlacePropagator:
+    """``build_asymptotics`` builds G in place in the inverse of S (x) S; G
+    solved for with ``cho_solve`` (``normalization_propagator``) is its
+    oracle."""
 
     @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize("p", [1, 2, 5, 9])
-    def test_jacobian_columns_are_the_dense_jacobian(self, transpose, p):
-        # any column range, ragged last block included, holds the dense
-        # Jacobian's columns bit for bit
+    def test_jacobian_parts_reassemble_the_dense_jacobian(self, transpose, p):
+        # diag(d (x) d) plus mc in the diagonal-position columns (rows of
+        # J.T) is the dense Jacobian bit for bit
         suite, _, _ = _suite_and_eig(p)
-        dense = normalization_jacobian(suite, transpose)
-        full = np.empty((p * p, p * p), order="F")
-        assert np.array_equal(_normalization_jacobian(suite, transpose, 0, full), dense)
-        for start in range(0, p * p, 4):
-            out = np.full((p * p, min(4, p * p - start)), np.nan, order="F")
-            _normalization_jacobian(suite, transpose, start, out)
-            assert np.array_equal(out, dense[:, start : start + 4])
+        diagonal, mc = _jacobian_parts(suite)
+        at_diagonal = np.arange(p) * (p + 1)
+        jac = np.diag(diagonal)
+        if transpose:
+            jac[at_diagonal, :] += mc.T
+        else:
+            jac[:, at_diagonal] += mc
+        assert np.array_equal(jac, normalization_jacobian(suite, transpose))
 
     @pytest.mark.parametrize("form", PROPAGATOR_FORMS)
     @pytest.mark.parametrize("divisor", DIVISOR_MODES)
-    @pytest.mark.parametrize("p", [7, 12, 20])
-    def test_blocks_match_the_full_width_propagator(self, monkeypatch, form, divisor, p):
+    @pytest.mark.parametrize("p", [2, 5, 7, 12, 20, 37])
+    def test_scalars_match_the_cho_solve_propagator(self, monkeypatch, form, divisor, p):
         suite, eig, n = _suite_and_eig(p)
-        trace, top, cross = _full_width_scalars(suite, eig, form, divisor_value(n, p, divisor))
-
-        # batches of 3 columns, blocks of 21: p^2 = 49, 144 and 400 all end
-        # in a ragged block
-        monkeypatch.setattr(asymptotics, "_TRACE_BATCH_ENTRIES", 3 * p * p)
-        monkeypatch.setattr(asymptotics, "_BLOCK_ENTRIES", 21 * p * p)
-        assert _block_columns(p * p) == (3, 21) and p * p % 21
-        starts = []
-        real = asymptotics._normalization_jacobian
-
-        def spy(work, transpose, start, out):
-            starts.append((start, out.shape[1]))
-            return real(work, transpose, start, out)
-
-        monkeypatch.setattr(asymptotics, "_normalization_jacobian", spy)
+        trace, top, cross = _cho_solve_scalars(suite, eig, form, divisor_value(n, p, divisor))
+        # trace batches of p + 1 columns and tiles of p + 2 rows and
+        # columns: p^2 = (p + 1)(p - 1) + 1 = (p + 2)(p - 2) + 4, so for
+        # p > 2 the last batch and the last tile are ragged
+        monkeypatch.setattr(asymptotics, "_TRACE_BATCH_ENTRIES", (p + 1) * p * p)
+        monkeypatch.setattr(asymptotics, "_TILE", p + 2)
         asym = build_asymptotics(suite, eig, n, divisor, form)
-        assert starts == [(s, min(21, p * p - s)) for s in range(0, p * p, 21)]
-        # measured worst over these cases at 1 and 2 BLAS threads: 3.8e-13
+        # measured worst over these cases at 1 and 2 BLAS threads: 8.0e-13
         assert asym.cov_trace == pytest.approx(trace, rel=1e-12)
         assert asym.top_variance == pytest.approx(top, rel=1e-12)
-        np.testing.assert_allclose(asym.cross_terms, cross, rtol=1e-12)
+        # at p = 2 the cross term is zero up to rounding (the eigenvectors
+        # of a 2 x 2 normalized precision do not move), so it is held to a
+        # floor at the scale of the top variance
+        np.testing.assert_allclose(asym.cross_terms, cross, rtol=1e-12, atol=1e-12 * top)
 
-    @pytest.mark.parametrize("p", [7, 37])
-    def test_one_block_is_bitwise_the_full_width_propagator(self, p):
-        # up to p = 37 G is one block: the streamed scalars keep its bits
-        suite, eig, n = _suite_and_eig(p)
-        assert _block_columns(p * p)[1] == p * p
-        for form in PROPAGATOR_FORMS:
-            trace, top, cross = _full_width_scalars(suite, eig, form, n - p)
-            asym = build_asymptotics(suite, eig, n, "nminusp", form)
-            assert (asym.cov_trace, asym.top_variance) == (trace, top)
-            assert np.array_equal(asym.cross_terms, cross)
+    @pytest.mark.parametrize("form", PROPAGATOR_FORMS)
+    def test_inverse_and_g_overwrite_the_factor(self, monkeypatch, form):
+        # dpotri turns the factor into the inverse, and the exact form's
+        # rank-p update writes G, each in the array it was given
+        calls = []
+        real_dpotri, real_dgemm = asymptotics.dpotri, asymptotics.dgemm
 
-    def test_holds_one_p4_array(self):
-        # S (x) S's factor (8 p^4 bytes), one block of G and p^2 x p
-        # arrays; the full-width path also held G, 2.13 x 8 p^4 in all
+        def dpotri(c, **kwargs):
+            inv, info = real_dpotri(c, **kwargs)
+            calls.append(("dpotri", inv is c))
+            return inv, info
+
+        def dgemm(*args, c, **kwargs):
+            out = real_dgemm(*args, c=c, **kwargs)
+            calls.append(("dgemm", out is c))
+            return out
+
+        monkeypatch.setattr(asymptotics, "dpotri", dpotri)
+        monkeypatch.setattr(asymptotics, "dgemm", dgemm)
+        suite, eig, n = _suite_and_eig(6)
+        build_asymptotics(suite, eig, n, form=form)
+        expected = [("dpotri", True)] + ([("dgemm", True)] if form == "exact" else [])
+        assert calls == expected
+
+    @pytest.mark.parametrize("form", PROPAGATOR_FORMS)
+    def test_holds_one_p4_array(self, form):
+        # S (x) S, its factor, its inverse and G share one array of 8 p^4
+        # bytes; besides it only p^2 x p arrays (8 p^3 bytes each) and the
+        # trace batches' temporaries are alive
         p = 48
         suite, eig, n = _suite_and_eig(p, n=500)
-        block = 8 * p * p * _block_columns(p * p)[1]
-        assert block < 8 * p**4
         tracemalloc.start()
         try:
-            build_asymptotics(suite, eig, n)
+            build_asymptotics(suite, eig, n, form=form)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * p**4 + block + (2 << 20)
+        assert peak <= 8 * p**4 + 3 * 8 * p**3 + (2 << 20)
 
     @pytest.mark.parametrize("power", [-300, 300])
     def test_exact_form_is_bitwise_invariant_under_power_of_two_scaling(self, power):

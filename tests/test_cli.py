@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from bnsparsity import Dataset, asymptotics, max_parents_test, read_csv, write_csv
+from bnsparsity import Dataset, asymptotics, max_parents_test, read_csv, sparsity, write_csv
 from bnsparsity.cli import main, run
 from conftest import chain_dag
 from bnsparsity import GenerativeModel, NoiseSpec, sample_dataset
@@ -341,13 +341,24 @@ def _bad_input(tmp_path, kind):
     "negative-seed-simulate", "negative-seed-reproduce", "negative-seed-compare",
     "gap-tol-nan", "gap-tol-negative", "gap-tol-inf",
 ])
-def test_bad_input_is_a_typed_error(tmp_path, capsys, kind):
+def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, kind):
     argv = _bad_input(tmp_path, kind)
+    # a bad gap tolerance is refused on entry, before the dense asymptotics
+    asymptotics_calls = []
+    real = sparsity.build_asymptotics
+
+    def spy(*args, **kwargs):
+        asymptotics_calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparsity, "build_asymptotics", spy)
     capsys.readouterr()
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err and captured.out == ""
+    if kind.startswith("gap-tol"):
+        assert asymptotics_calls == []
 
 
 def test_dimension_over_the_cap_is_a_typed_error(tmp_path, capsys, monkeypatch):

@@ -106,6 +106,12 @@ class TestGenerativeModel:
         with pytest.raises(InputError):
             NoiseSpec(variances=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("count", [2, 5])
+    def test_one_noise_variance_per_vertex(self, count):
+        # too many used to be cut to the first p, too few an IndexError
+        with pytest.raises(InputError, match="one entry per vertex"):
+            GenerativeModel(kind="A", dag=chain_dag(3), noise=unit_noise(count))
+
 
 class TestSampleDataset:
     def test_empty_graph_is_iid_normal(self, rng):
