@@ -55,7 +55,8 @@ DIVISOR_MODES = ("nminusp", "n")
 PROPAGATOR_FORMS = ("conservative", "exact")
 
 
-def _check_form(form: str) -> str:
+def check_form(form: str) -> str:
+    """``form``, or ``InputError`` if it is not one of ``PROPAGATOR_FORMS``."""
     if form not in PROPAGATOR_FORMS:
         raise InputError(f"form must be one of {PROPAGATOR_FORMS}, got {form!r}")
     return form
@@ -96,10 +97,15 @@ def _form_suite(suite: CovarianceSuite, form: str) -> CovarianceSuite:
     )
 
 
-def divisor_value(n: int, p: int, mode: str = "nminusp") -> int:
-    """Degrees-of-freedom divisor: n - p (default, conservative) or n."""
+def check_divisor_mode(mode: str) -> None:
+    """Refuse a divisor mode that is not one of ``DIVISOR_MODES``."""
     if mode not in DIVISOR_MODES:
         raise InputError(f"divisor mode must be one of {DIVISOR_MODES}, got {mode!r}")
+
+
+def divisor_value(n: int, p: int, mode: str = "nminusp") -> int:
+    """Degrees-of-freedom divisor: n - p (default, conservative) or n."""
+    check_divisor_mode(mode)
     if n <= p:
         raise InsufficientSampleError(
             f"need more samples than variables, got n={n}, p={p}"
@@ -265,7 +271,7 @@ def _propagator_sums(suite: CovarianceSuite, form: str, vectors: np.ndarray):
     """
     # refuse p over the cap before S (x) S (p^4 doubles) is built
     p = _check_dimension(suite.p)
-    work = _form_suite(suite, _check_form(form))
+    work = _form_suite(suite, check_form(form))
     g = _propagator(work, form)
     sigma = work.covariance
     p2 = p * p

@@ -169,7 +169,7 @@ def sample_covariance(data: Dataset) -> np.ndarray:
         raise InputError(f"covariance needs at least 2 samples, got n={data.n}")
     centered = center_columns(data.values)
     with np.errstate(over="ignore"):
-        cov = finite_second_moments(centered.T @ centered / data.n)
+        cov = representable_second_moments(centered, centered.T @ centered / data.n)
     return 0.5 * (cov + cov.T)
 
 
@@ -191,6 +191,20 @@ def finite_second_moments(moments: np.ndarray) -> np.ndarray:
     if not np.isfinite(moments).all():
         raise InputError("data too large: its second moments overflow double precision")
     return moments
+
+
+def representable_second_moments(centered: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Check ``moments``, the second moments of ``centered`` data (a vector,
+    or a matrix with them on its diagonal), with ``finite_second_moments``,
+    and also raise :class:`InputError` when a column that is not constant
+    has a second moment below the smallest normal double: that moment has
+    lost its precision, and the reciprocal scale taken from it would
+    overflow. A constant column, exactly zero after ``center_columns``,
+    keeps its zero moment."""
+    second = np.diagonal(moments) if moments.ndim == 2 else moments
+    if (second[centered.any(axis=0)] < np.finfo(float).tiny).any():
+        raise InputError("data too small: its second moments underflow double precision")
+    return finite_second_moments(moments)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@ studies: three fixed-max-in-degree tables and the edge-growth power study.
 
 Per-replicate seeds are derived from the master seed and the replicate
 coordinates, so results are bit-identical for any worker count. With
-``threads > 1`` the replicates run in worker processes forked from the
-caller. Threads would not help: most of a test's time is scipy's Cholesky
-factor and LAPACK's inverse in the asymptotics, which hold the GIL. Forked
-workers inherit the task list and everything the caller patched, and they
-run the same library calls, so no table depends on the worker count. Fork is
+``threads > 1`` the replicates are split into one block per worker: the
+caller runs the first block itself, and each other block runs in one child
+process forked from the caller, which sends its outcomes back in one
+message and exits, so a call costs one fork per extra worker. Threads
+would not help: most of a test's time is scipy's Cholesky factor and
+LAPACK's inverse in the asymptotics, which hold the GIL. Forked workers
+inherit the task list and everything the caller patched, and they run the
+same library calls, so no table depends on the worker count. Fork is
 unsafe in a caller that runs threads of its own: call with ``threads=1``
 there. Each worker keeps its own BLAS threads, so set
 ``OPENBLAS_NUM_THREADS=1`` when running more than one worker.
@@ -21,11 +24,13 @@ non-rejections.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import pickle
+import signal
+import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from .simulate import (
     random_model,
     sample_dataset,
 )
-from .sparsity import max_parents_test
+from .sparsity import check_test_options, max_parents_test
 
 BASIC_TABLES = {"sim1": 1, "sim2": 4, "sim3": 8}
 TABLES = tuple(BASIC_TABLES) + ("power",)
@@ -143,27 +148,83 @@ def _test_outcome(data, alpha: float, divisor: str, form: str):
         return type(err).__name__
 
 
-# The worker and task list of the pool a worker process belongs to, set by
-# the pool's initializer in each forked worker; the calling process never
-# sets it.
-_worker_job = None
-
-
-def _start_worker(worker, tasks) -> None:
-    global _worker_job
-    _worker_job = (worker, tasks)
-
-
-def _run_task(index: int):
-    worker, tasks = _worker_job
-    return worker(tasks[index])
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _run_blocks(worker, tasks, workers: int) -> list:
+    """``worker(task)`` for every task, with worker w running the block
+    ``tasks[w::workers]``: the caller runs block 0 itself, and each other
+    block runs in one forked child, which sends its results back on a pipe
+    as one pickled message. A child's error is raised in the caller, and so
+    is the death of a child that sent nothing. If the caller's own block
+    raises, a child fails or the caller is interrupted, every child still
+    running is killed; every child is reaped before this returns or
+    raises."""
+    children = {}  # pid -> read end of the child's pipe
+    try:
+        for block in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _run_child_block(worker, tasks[block::workers], write_end)
+            os.close(write_end)
+            children[pid] = os.fdopen(read_end, "rb")
+        results = [worker(task) for task in tasks[::workers]]
+        for pid in list(children):
+            with children[pid] as pipe:
+                message = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0 or not message:
+                raise RuntimeError(
+                    f"worker process {pid} ended with exit status {status} "
+                    "without sending its results"
+                )
+            sent, payload, trace = pickle.loads(message)
+            if not sent:
+                raise payload from RuntimeError(f"in worker process {pid}:\n{trace}")
+            results += payload
+        return results
+    finally:
+        for pid, pipe in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _run_child_block(worker, block, write_end: int) -> NoReturn:
+    """In a forked child: run ``block`` and write (True, its results, "")
+    to ``write_end`` as one pickled message, or (False, the error that
+    stopped it, its traceback), then end the process without unwinding into
+    the caller's stack. An error that does not survive pickling is sent as
+    a RuntimeError carrying its type name and text."""
+    status = 1
+    try:
+        try:
+            message = pickle.dumps((True, [worker(task) for task in block], ""))
+        except BaseException as err:  # reported to the caller, which re-raises it
+            trace = "".join(traceback.format_exception(type(err), err, err.__traceback__))
+            try:
+                message = pickle.dumps((False, err, trace))
+                pickle.loads(message)
+            except Exception:
+                text = RuntimeError(f"{type(err).__name__}: {err}")
+                message = pickle.dumps((False, text, trace))
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(message)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _run_grid(labels, tasks, worker, threads: int) -> list[MonteCarloRow]:
@@ -173,28 +234,21 @@ def _run_grid(labels, tasks, worker, threads: int) -> list[MonteCarloRow]:
 
     ``threads`` caps the worker processes; no more start than there are
     tasks or usable CPUs. With one, the tasks run in the calling process;
-    with more, every task runs in a forked worker and the caller only
-    waits for the results. Forked workers inherit ``worker`` and ``tasks``,
-    so only task indices and the (row, outcome) pairs cross the process
-    boundary. Spawned workers would need a picklable worker and would
-    import the package and scipy afresh, which takes longer than a whole
-    small power study."""
+    with more, the caller runs one block of tasks itself and forks one child
+    for each other block (``_run_blocks``). Forked children inherit
+    ``worker`` and ``tasks``, so only the (row, outcome) pairs cross the
+    process boundary. Spawned workers would need a picklable worker and
+    would import the package and scipy afresh, which takes longer than a
+    whole small power study."""
     if threads < 1:
         raise InputError(f"thread count must be >= 1, got {threads}")
-    if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
+    if threads > 1 and not hasattr(os, "fork"):
         raise InputError(
             f"thread count {threads} needs worker processes started by fork, which "
             "this platform does not offer; use a thread count of 1"
         )
     workers = min(threads, len(tasks), _usable_cpus())
-    if workers <= 1:
-        results = map(worker, tasks)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(worker, tasks),
-        ) as pool:
-            results = list(pool.map(_run_task, range(len(tasks))))
+    results = map(worker, tasks) if workers <= 1 else _run_blocks(worker, tasks, workers)
     outcomes = [[] for _ in labels]
     for pairs in results:
         for row, outcome in pairs:
@@ -230,6 +284,7 @@ def run_basic_simulation(
     """
     if table not in BASIC_TABLES:
         raise InputError(f"table must be one of {sorted(BASIC_TABLES)}, got {table!r}")
+    check_test_options(alpha, divisor, form)
     if replicates < 50:
         raise InputError(f"need at least 50 replicates, got {replicates}")
     kinds = tuple(str(m).upper() for m in models)
@@ -282,6 +337,7 @@ def run_power_study(
     """
     if replicates_per_graph < 1:
         raise InputError("need at least 1 replicate per graph")
+    check_test_options(alpha, divisor, form)
     if not n_values:
         raise InputError("need at least one sample size")
     if seed is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, stdtrit
 
-from .asymptotics import build_asymptotics
+from .asymptotics import build_asymptotics, check_divisor_mode, check_form
 from .correction import check_gap_tolerance, corrected_top_eigenvalue
 from .covariance import Dataset, build_suite, normalized_precision_eigen
 from .errors import DegenerateVarianceError, InputError
@@ -54,6 +54,15 @@ def student_t_quantile(prob: float, df: int) -> float:
     return float(stdtrit(df, prob))
 
 
+def check_test_options(alpha: float, divisor: str, form: str) -> None:
+    """Refuse a test level outside (0, 1), or a divisor mode or propagation
+    form the asymptotics do not know, before any work is done."""
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must be in (0, 1), got {alpha}")
+    check_divisor_mode(divisor)
+    check_form(form)
+
+
 @dataclass(frozen=True)
 class SparsityTestResult(Record):
     """Everything the test computed, in the stable JSON field order."""
@@ -90,8 +99,7 @@ def max_parents_test(
     n is close to p; "exact" is the delta-method-exact covariance, which is
     anticonservative in that regime). Deterministic given the data.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must be in (0, 1), got {alpha}")
+    check_test_options(alpha, divisor, form)
     if data.p < 2:
         raise InputError(f"test needs p >= 2 variables, got p={data.p}")
     check_gap_tolerance(gap_tolerance)

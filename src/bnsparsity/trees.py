@@ -35,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import Dataset, center_columns, default_names, finite_second_moments
+from .covariance import (
+    Dataset,
+    center_columns,
+    default_names,
+    finite_second_moments,
+    representable_second_moments,
+)
 from .errors import InputError
 from .records import Record
 
@@ -102,7 +108,7 @@ class FittedTree:
 def _centered_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     centered = center_columns(values)
     with np.errstate(over="ignore"):
-        moments = finite_second_moments((centered * centered).mean(axis=0))
+        moments = representable_second_moments(centered, (centered * centered).mean(axis=0))
     return centered, np.sqrt(moments)
 
 

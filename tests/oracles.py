@@ -30,10 +30,10 @@ from scipy.linalg import cho_solve
 
 from bnsparsity.asymptotics import (
     _check_dimension,
-    _check_form,
     _exact_scale_exponent,
     _factor_kron,
     _form_suite,
+    check_form,
     divisor_value,
 )
 from bnsparsity.correction import _gap_weighted_sum
@@ -124,7 +124,7 @@ def normalization_propagator(suite: CovarianceSuite, form: str) -> np.ndarray:
     Jacobian. It has no default form; its callers name one.
     """
     _check_dimension(suite.p)
-    work = _form_suite(suite, _check_form(form))
+    work = _form_suite(suite, check_form(form))
     factor = _factor_kron(work)
     rhs = normalization_jacobian(work, transpose=form == "exact")
     g = cho_solve(factor, rhs, overwrite_b=True, check_finite=False)
@@ -148,7 +148,7 @@ def propagation_vec_cov(suite: CovarianceSuite, form: str = "exact") -> np.ndarr
     """The vec-covariance plug-in matching ``normalization_propagator``:
     ``V`` at the suite's covariance for the exact form (default), at the
     correlation scale for the conservative form."""
-    _check_form(form)
+    check_form(form)
     if form == "exact":
         return gaussian_vec_cov(suite.covariance)
     return gaussian_vec_cov(_form_suite(suite, form).covariance)

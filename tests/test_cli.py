@@ -325,19 +325,25 @@ def _bad_input(tmp_path, kind):
         write_csv(Dataset(values=np.random.default_rng(0).standard_normal((40, 6))), path)
         value = {"gap-tol-nan": "nan", "gap-tol-negative": "-1", "gap-tol-inf": "inf"}[kind]
         return ["test", str(path), "--gap-tol", value]
-    values = np.random.default_rng(0).standard_normal((100, 5)) * 1e200
+    # second moments that overflow, or that underflow below the smallest
+    # normal double
+    moment, command = kind.split("-", 1)
+    scale = {"overflow": 1e200, "underflow160": 1e-160, "underflow200": 1e-200}[moment]
+    values = np.random.default_rng(0).standard_normal((100, 5)) * scale
     write_csv(Dataset(values=values), path)
     return {
-        "overflow-test": ["test", str(path)],
-        "overflow-fit-tree": ["fit-tree", str(path)],
-        "overflow-compare": ["compare", str(path), str(path), "--M", "99"],
-    }[kind]
+        "test": ["test", str(path)],
+        "fit-tree": ["fit-tree", str(path)],
+        "compare": ["compare", str(path), str(path), "--M", "99"],
+    }[command]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", [
     "missing", "directory", "not-utf8", "oversized-field", "unwritable",
     "overflow-test", "overflow-fit-tree", "overflow-compare",
+    "underflow160-test", "underflow160-fit-tree", "underflow160-compare",
+    "underflow200-test", "underflow200-fit-tree", "underflow200-compare",
     "negative-seed-simulate", "negative-seed-reproduce", "negative-seed-compare",
     "gap-tol-nan", "gap-tol-negative", "gap-tol-inf",
 ])
@@ -357,6 +363,8 @@ def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, kind):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err and captured.out == ""
+    if kind.startswith("underflow"):
+        assert "data too small" in captured.err
     if kind.startswith("gap-tol"):
         assert asymptotics_calls == []
 
@@ -375,20 +383,16 @@ def test_dimension_over_the_cap_is_a_typed_error(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", [1e100, 1e-100], ids=["1e+100", "1e-100"])
-def test_exact_form_at_extreme_scale_matches_unscaled(tmp_path, scale):
-    # S (x) S at these scales overflows or underflows, but the exact form
-    # takes its plug-ins at a power-of-four scale, so the result is the
-    # unscaled file's up to the rounding of the scaled data. Over five
-    # suites (p = 5 to 40) at 1e+-100 the worst field moved 3.9e-15.
+def _assert_scaled_run_matches(tmp_path, scale: float, *options: str) -> None:
+    """``bnsparsity test`` on a file and on the file times ``scale`` give
+    the same 13 keys, floats within 1e-13 relative."""
     values = np.random.default_rng(0).standard_normal((100, 5))
     results = []
     for name, factor in (("plain", 1.0), ("scaled", scale)):
         path = tmp_path / f"{name}.csv"
         write_csv(Dataset(values=values * factor), path)
         out = tmp_path / f"{name}.json"
-        assert run_cli("test", str(path), "--form", "exact", "--json-out", str(out)) == 0
+        assert run_cli("test", str(path), *options, "--json-out", str(out)) == 0
         results.append(json.loads(out.read_text()))
     plain, scaled = results
     assert plain.keys() == scaled.keys()
@@ -397,3 +401,21 @@ def test_exact_form_at_extreme_scale_matches_unscaled(tmp_path, scale):
             assert scaled[key] == pytest.approx(value, rel=1e-13), key
         else:
             assert scaled[key] == value, key
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e100, 1e-100], ids=["1e+100", "1e-100"])
+def test_exact_form_at_extreme_scale_matches_unscaled(tmp_path, scale):
+    # S (x) S at these scales overflows or underflows, but the exact form
+    # takes its plug-ins at a power-of-four scale, so the result is the
+    # unscaled file's up to the rounding of the scaled data. Over five
+    # suites (p = 5 to 40) at 1e+-100 the worst field moved 3.9e-15.
+    _assert_scaled_run_matches(tmp_path, scale, "--form", "exact")
+
+
+@pytest.mark.filterwarnings("error")
+def test_smallest_accepted_scale_matches_unscaled(tmp_path):
+    # second moments near 1e-300 are still normal doubles, and the
+    # reciprocal scales of the correlation estimate (about 1e150) do not
+    # overflow; from about 1e-154 on the data is refused as too small
+    _assert_scaled_run_matches(tmp_path, 1e-150)

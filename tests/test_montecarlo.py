@@ -1,12 +1,114 @@
 """Monte Carlo harness: determinism, thread invariance, failure accounting."""
 
 import json
+import os
+import signal
+import time
+from contextlib import contextmanager
 
 import pytest
 
 from bnsparsity import Dataset, InputError, run_basic_simulation, run_power_study
 from bnsparsity import montecarlo
 from bnsparsity.cli import main
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_is_left():
+    yield
+    # raises only when this process has no child, running or exited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in this process if the block runs longer than
+    ``seconds``; a forked child does not inherit the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def in_children_only(monkeypatch, action):
+    """Make ``sample_dataset`` run ``action()`` in forked workers and sample
+    as usual in the calling process, and let two workers run on any
+    machine."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    caller = os.getpid()
+    sample = montecarlo.sample_dataset
+
+    def sample_or_act(model, n, rng):
+        if os.getpid() != caller:
+            action()
+        return sample(model, n, rng=rng)
+
+    monkeypatch.setattr(montecarlo, "sample_dataset", sample_or_act)
+
+
+SMALL_GRID = dict(table="sim1", replicates=50, seed=1, models=("A",), n_values=(12,), p=8)
+
+
+class TestForkedWorkers:
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_tables_do_not_depend_on_uneven_blocks(self, monkeypatch, threads):
+        # 53 grid tasks and 35 power tasks: neither worker count divides them
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        grid = dict(table="sim2", replicates=53, seed=5, models=("C",), n_values=(20,), p=12)
+        power = dict(replicates_per_graph=7, seed=3, n_values=(60,), p=8, edges_per_step=3,
+                     steps=2, chains=2)
+        serial = run_basic_simulation(threads=1, **grid)
+        assert serial.rows[0].failure_types == {"SingularityError": 1}
+        assert run_basic_simulation(threads=threads, **grid).to_dict() == serial.to_dict()
+        assert (run_power_study(threads=threads, **power).to_dict()
+                == run_power_study(threads=1, **power).to_dict())
+
+    def test_child_that_dies_makes_the_caller_raise(self, monkeypatch):
+        in_children_only(monkeypatch, lambda: os._exit(1))
+        with deadline(60), pytest.raises(RuntimeError, match="exit status 1 without sending"):
+            run_basic_simulation(threads=2, **SMALL_GRID)
+
+    def test_child_exception_keeps_its_type_and_message(self, monkeypatch):
+        def fail():
+            raise InputError("sampler broke in a child")
+
+        in_children_only(monkeypatch, fail)
+        with pytest.raises(InputError, match="sampler broke in a child") as caught:
+            run_basic_simulation(threads=2, **SMALL_GRID)
+        assert "in worker process" in str(caught.value.__cause__)
+        assert "in fail" in str(caught.value.__cause__)
+
+    def test_unpicklable_child_exception_arrives_as_its_text(self, monkeypatch):
+        class LocalError(Exception):
+            """Defined in a function, so pickle cannot name it."""
+
+        def fail():
+            raise LocalError("sampler broke in a child")
+
+        in_children_only(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="LocalError: sampler broke in a child"):
+            run_basic_simulation(threads=2, **SMALL_GRID)
+
+    def test_caller_failure_kills_and_reaps_the_children(self, monkeypatch):
+        caller = os.getpid()
+
+        def sample(model, n, rng):
+            if os.getpid() == caller:
+                raise RuntimeError("caller broke")
+            time.sleep(600)
+
+        monkeypatch.setattr(montecarlo, "sample_dataset", sample)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        # waiting for the sleeping children would take ten minutes
+        with deadline(60), pytest.raises(RuntimeError, match="caller broke"):
+            run_basic_simulation(threads=3, **SMALL_GRID)
 
 
 class TestThreads:
@@ -22,38 +124,29 @@ class TestThreads:
         assert code == 2
 
     def test_worker_count_is_capped_by_tasks_and_cpus(self, monkeypatch):
-        started = []
+        forks = []
+        real_fork = os.fork
 
-        class RecordingPool:
-            """Runs the pool's tasks in this process; starts no process."""
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-            def __init__(self, max_workers, mp_context, initializer, initargs):
-                started.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(montecarlo, "_worker_job", None)
         kwargs = dict(table="sim1", replicates=50, seed=1, models=("A",), n_values=(12,), p=8)
         capped = run_basic_simulation(threads=10**6, **kwargs)
+        grid_forks = len(forks)
         # a power study with one replicate per graph has two tasks
         run_power_study(replicates_per_graph=1, seed=1, n_values=(12,), p=8,
                         edges_per_step=1, steps=1, chains=1, threads=10**6)
-        assert started == [3, 2]
+        # the caller runs one block itself
+        assert (grid_forks, len(forks) - grid_forks) == (2, 1)
         assert capped.to_dict() == run_basic_simulation(threads=1, **kwargs).to_dict()
 
     def test_without_fork_more_than_one_thread_is_an_input_error(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(montecarlo.multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         kwargs = dict(table="sim1", replicates=50, seed=1, models=("A",), n_values=(12,), p=8)
         with pytest.raises(InputError, match="fork"):
             run_basic_simulation(threads=2, **kwargs)
@@ -71,6 +164,34 @@ class TestThreads:
         with pytest.raises(RuntimeError, match="sampler broke"):
             run_basic_simulation("sim1", replicates=50, seed=1, models=("A",),
                                  n_values=(12,), p=8, threads=threads)
+
+
+class TestOptionsCheckedOnEntry:
+    BAD = [dict(alpha=1.5), dict(alpha=-1), dict(form="bogus"), dict(divisor="bogus")]
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a model before checking the options")
+
+        monkeypatch.setattr(montecarlo, "random_model", refuse)
+        monkeypatch.setattr(montecarlo, "power_chain", refuse)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_runners_refuse_bad_options(self, bad):
+        with pytest.raises(InputError):
+            run_basic_simulation(threads=2, **SMALL_GRID, **bad)
+        with pytest.raises(InputError):
+            run_power_study(replicates_per_graph=50, seed=1, n_values=(12,), p=8, threads=2,
+                            **bad)
+
+    @pytest.mark.parametrize("table", ["sim1", "power"])
+    def test_cli_exits_2_and_writes_no_report(self, tmp_path, capsys, table):
+        code = main(["reproduce", "--table", table, "--replicates", "50", "--alpha", "2",
+                     "--seed", "1", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBasicSimulation:
