@@ -14,15 +14,16 @@ from .asymptotics import (
     AsymptoticScalars,
     build_asymptotics,
 )
-from .correction import CorrectedEigenvalue, corrected_top_eigenvalue
 from .covariance import (
     CovarianceSuite,
     Dataset,
+    EigenSystem,
     build_suite,
     normalized_precision_eigen,
     read_csv,
     sample_covariance,
     suite_from_covariance,
+    symmetric_eigen,
     write_csv,
 )
 from .errors import (
@@ -35,9 +36,7 @@ from .errors import (
     NumericalError,
     SingularityError,
 )
-from .kernels import EigenSystem, symmetric_eigen
 from .montecarlo import MonteCarloReport, MonteCarloRow, run_basic_simulation, run_power_study
-from .shrinkage import ShrinkageEstimate, shrink, shrinkage_intensity
 from .simulate import (
     GenerativeModel,
     NoiseSpec,
@@ -54,7 +53,17 @@ from .simulate import (
     sample_dataset,
     tuned_top_eigenvalue_model,
 )
-from .sparsity import SparsityTestResult, max_parents_test, student_t_quantile, student_t_sf
+from .sparsity import (
+    CorrectedEigenvalue,
+    ShrinkageEstimate,
+    SparsityTestResult,
+    corrected_top_eigenvalue,
+    max_parents_test,
+    shrink,
+    shrinkage_intensity,
+    student_t_quantile,
+    student_t_sf,
+)
 from .trees import FittedTree, PermutationTestResult, chow_liu, paired_permutation_equality
 
 __all__ = [

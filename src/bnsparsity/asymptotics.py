@@ -31,9 +31,8 @@ from scipy.linalg import LinAlgError, cho_factor
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotri
 
-from .covariance import CovarianceSuite
+from .covariance import CovarianceSuite, EigenSystem
 from .errors import InputError, InsufficientSampleError, SingularityError
-from .kernels import EigenSystem
 
 # The first entry of DIVISOR_MODES and of PROPAGATOR_FORMS is the test
 # pipeline's default.

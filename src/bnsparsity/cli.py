@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import DIVISOR_MODES, PROPAGATOR_FORMS
 from .covariance import read_csv, write_csv
-from .errors import BnSparsityError, InputError
+from .errors import BnSparsityError, InputError, check_seed
 from .manifest import make_manifest, write_manifest
 from .montecarlo import DEFAULT_N_VALUES, TABLES, run_basic_simulation, run_power_study
 from .simulate import MODEL_KINDS, fresh_seed, random_model, sample_dataset
@@ -265,10 +265,9 @@ def run(args: argparse.Namespace) -> int:
     manifest then records."""
     try:
         if "seed" in vars(args):
+            check_seed(args.seed)
             if args.seed is None:
                 args.seed = fresh_seed()
-            elif args.seed < 0:
-                raise InputError(f"--seed must be non-negative, got {args.seed}")
         return _COMMANDS[args.command](args)
     except BnSparsityError as err:
         print(f"error: {err}", file=sys.stderr)

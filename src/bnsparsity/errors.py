@@ -1,4 +1,5 @@
-"""Exception hierarchy and the process exit codes attached to it.
+"""Exception hierarchy, the process exit codes attached to it, and the
+input checks that several entry points share.
 
 The CLI maps any raised ``BnSparsityError`` to its ``exit_code``:
 0 success, 2 input error, 3 numerical error, 4 insufficient sample.
@@ -52,3 +53,15 @@ class InsufficientSampleError(BnSparsityError):
     """Sample size too small for the requested computation (needs n > p)."""
 
     exit_code = 4
+
+
+def check_alpha(alpha: float) -> None:
+    """Refuse a test level outside (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def check_seed(seed: int | None) -> None:
+    """Refuse a negative seed; ``None`` stands for a fresh one."""
+    if seed is not None and seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")

@@ -34,7 +34,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import BnSparsityError, InputError
+from .errors import BnSparsityError, InputError, InsufficientSampleError, check_seed
 from .records import Record
 from .simulate import (
     MODEL_KINDS,
@@ -140,6 +140,28 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _check_run(n_values, p: int, threads: int) -> None:
+    """Refuse, before any model is drawn or any worker forked: a thread count
+    below 1, or above 1 where fork is missing; no sample size or one below
+    1; and one that every test of its rows would refuse, n <= p."""
+    if threads < 1:
+        raise InputError(f"thread count must be >= 1, got {threads}")
+    if threads > 1 and not hasattr(os, "fork"):
+        raise InputError(
+            f"thread count {threads} needs worker processes started by fork, which "
+            "this platform does not offer; use a thread count of 1"
+        )
+    if not n_values:
+        raise InputError("need at least one sample size")
+    smallest = min(n_values)
+    if smallest < 1:
+        raise InputError(f"need n >= 1 samples, got {smallest}")
+    if smallest <= p:
+        raise InsufficientSampleError(
+            f"need more samples than variables, got n={smallest}, p={p}"
+        )
+
+
 def _test_outcome(data, alpha: float, divisor: str, form: str):
     """True/False for reject, or the error's type name on failure."""
     try:
@@ -232,25 +254,17 @@ def _run_grid(labels, tasks, worker, threads: int) -> list[MonteCarloRow]:
     order. ``worker(task)`` returns (row index, outcome) pairs; rows are
     keyed by position, so two equal labels stay two rows.
 
-    ``threads`` caps the worker processes; no more start than there are
-    tasks or usable CPUs. With one, the tasks run in the calling process;
-    with more, the caller runs one block of tasks itself and forks one child
-    for each other block (``_run_blocks``). Forked children inherit
-    ``worker`` and ``tasks``, so only the (row, outcome) pairs cross the
-    process boundary. Spawned workers would need a picklable worker and
+    ``threads`` (checked by ``_check_run``) caps the worker processes; no
+    more start than there are tasks or usable CPUs. The caller runs one
+    block of tasks itself and forks one child for each other block
+    (``_run_blocks``), so with one worker nothing is forked. Forked children
+    inherit ``worker`` and ``tasks``, so only the (row, outcome) pairs cross
+    the process boundary. Spawned workers would need a picklable worker and
     would import the package and scipy afresh, which takes longer than a
     whole small power study."""
-    if threads < 1:
-        raise InputError(f"thread count must be >= 1, got {threads}")
-    if threads > 1 and not hasattr(os, "fork"):
-        raise InputError(
-            f"thread count {threads} needs worker processes started by fork, which "
-            "this platform does not offer; use a thread count of 1"
-        )
     workers = min(threads, len(tasks), _usable_cpus())
-    results = map(worker, tasks) if workers <= 1 else _run_blocks(worker, tasks, workers)
     outcomes = [[] for _ in labels]
-    for pairs in results:
+    for pairs in _run_blocks(worker, tasks, workers):
         for row, outcome in pairs:
             outcomes[row].append(outcome)
     rows = []
@@ -285,11 +299,16 @@ def run_basic_simulation(
     if table not in BASIC_TABLES:
         raise InputError(f"table must be one of {sorted(BASIC_TABLES)}, got {table!r}")
     check_test_options(alpha, divisor, form)
+    check_seed(seed)
     if replicates < 50:
         raise InputError(f"need at least 50 replicates, got {replicates}")
     kinds = tuple(str(m).upper() for m in models)
-    if not kinds or not n_values:
-        raise InputError("need at least one model kind and one sample size")
+    if not kinds:
+        raise InputError("need at least one model kind")
+    for kind in kinds:
+        if kind not in MODEL_KINDS:
+            raise InputError(f"model kind must be one of {MODEL_KINDS}, got {kind!r}")
+    _check_run(n_values, p, threads)
     nabla = BASIC_TABLES[table]
     if seed is None:
         seed = fresh_seed()
@@ -338,8 +357,8 @@ def run_power_study(
     if replicates_per_graph < 1:
         raise InputError("need at least 1 replicate per graph")
     check_test_options(alpha, divisor, form)
-    if not n_values:
-        raise InputError("need at least one sample size")
+    check_seed(seed)
+    _check_run(n_values, p, threads)
     if seed is None:
         seed = fresh_seed()
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .covariance import Dataset, normalize_precision
+from .covariance import Dataset, normalize_precision, symmetric_eigen
 from .errors import InputError
-from .kernels import symmetric_eigen
 from .trees import dot_text, edge_list_text, spanning_forest
 
 MODEL_KINDS = ("A", "B", "C", "D", "E")

@@ -1,11 +1,26 @@
-"""The max-in-degree hypothesis test.
+"""The max-in-degree hypothesis test and its statistic.
 
-Null: the top eigenvalue of the normalized precision is at most 2, which
+Null: the top eigenvalue of the normalized precision R is at most 2, which
 holds whenever the network's moral graph is a tree or forest (max in-degree
-at most 1). The statistic ``t = (corrected top eigenvalue - 2) / sigma`` is
-referred to a Student t distribution with n - p degrees of freedom; the test
-is one-sided (reject for large t). Failing to reject never certifies a tree:
-networks with non-tree moral graphs can still satisfy the null.
+at most 1). Failing to reject never certifies a tree: networks with
+non-tree moral graphs can still satisfy the null.
+
+The statistic takes R's eigenvalues lambda_1 >= ... >= lambda_p, its
+eigenvectors w_j, and from ``build_asymptotics`` tr C, Var lambda_1 and the
+forms q_j = (w_j (x) w_1).T C (w_j (x) w_1), C being the plug-in covariance
+of vec R. Two stages:
+
+- Shrinkage toward the identity with intensity
+  rho = tr C / (tr C + sum_j lambda_j^2 - p), clamped into (0, 1]. The map
+  x -> (1 - rho) x + rho shrinks R and each eigenvalue alike (``shrink``).
+- Second-order bias correction: lambda_1 is biased upward by about
+  c = sum_{j > 1} q_j / (lambda_1 - lambda_j). Terms with a gap below a
+  tolerance are skipped and flagged instead of amplifying noise
+  (``corrected_top_eigenvalue``).
+
+Then t = ((1 - rho)(lambda_1 - c) + rho - 2) / ((1 - rho) sqrt(Var
+lambda_1)) is referred to a Student t distribution with n - p degrees of
+freedom; the test is one-sided (reject for large t).
 """
 
 from __future__ import annotations
@@ -15,12 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, stdtrit
 
-from .asymptotics import build_asymptotics, check_divisor_mode, check_form
-from .correction import check_gap_tolerance, corrected_top_eigenvalue
-from .covariance import Dataset, build_suite, normalized_precision_eigen
-from .errors import DegenerateVarianceError, InputError
+from .asymptotics import AsymptoticScalars, build_asymptotics, check_divisor_mode, check_form
+from .covariance import Dataset, EigenSystem, build_suite, normalized_precision_eigen
+from .errors import DegenerateVarianceError, InputError, check_alpha
 from .records import Record
-from .shrinkage import shrink
+
+# Floating-point noise can push the mathematically-(0, 1] intensity
+# infinitesimally outside; clamping keeps downstream formulas finite.
+INTENSITY_FLOOR = 1e-12
 
 
 def student_t_sf(t: float, df: int) -> float:
@@ -57,10 +74,128 @@ def student_t_quantile(prob: float, df: int) -> float:
 def check_test_options(alpha: float, divisor: str, form: str) -> None:
     """Refuse a test level outside (0, 1), or a divisor mode or propagation
     form the asymptotics do not know, before any work is done."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     check_divisor_mode(divisor)
     check_form(form)
+
+
+def shrinkage_intensity(cov_trace: float, eigenvalues: np.ndarray) -> float:
+    """Optimal identity-target shrinkage weight, clamped into (0, 1].
+
+    ``eigenvalues`` must come from a unit-diagonal matrix (sum to p within
+    1e-6). Equals 1 exactly when the eigenvalues are all 1; a zero trace
+    clamps to the floor (effectively no shrinkage).
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    p = lam.size
+    if abs(float(lam.sum()) - p) > 1e-6:
+        raise InputError(
+            f"eigenvalues must sum to p={p} (unit-diagonal source), got {lam.sum()!r}"
+        )
+    cov_trace = float(cov_trace)
+    if cov_trace < 0:
+        raise InputError(f"covariance trace must be non-negative, got {cov_trace!r}")
+    spread = float(np.sum(lam * lam)) - p
+    denominator = cov_trace + spread
+    if denominator <= 0.0:
+        # Both terms are non-negative up to rounding; this is the identity
+        # limit where any intensity gives the same matrix.
+        return 1.0
+    return float(min(max(cov_trace / denominator, INTENSITY_FLOOR), 1.0))
+
+
+@dataclass(frozen=True)
+class ShrinkageEstimate:
+    """Shrinkage intensity and the shrunk eigenvalues."""
+
+    intensity: float
+    shrunk_eigenvalues: np.ndarray
+
+
+def shrink(eig: EigenSystem, asym: AsymptoticScalars) -> ShrinkageEstimate:
+    """Shrink the normalized precision toward the identity, with rho from
+    ``asym.cov_trace``. Only the eigenvalues are returned; their sum stays p
+    and their ordering is preserved.
+    """
+    rho = shrinkage_intensity(asym.cov_trace, eig.values)
+    return ShrinkageEstimate(intensity=rho, shrunk_eigenvalues=(1.0 - rho) * eig.values + rho)
+
+
+def default_gap_tolerance(p: int) -> float:
+    return 1e-6 * p
+
+
+def check_gap_tolerance(gap_tolerance: float | None) -> None:
+    """Refuse a gap tolerance that is not finite and non-negative (``None``
+    stands for ``default_gap_tolerance``)."""
+    if gap_tolerance is not None and not 0.0 <= gap_tolerance < np.inf:
+        raise InputError(f"gap tolerance must be finite and >= 0, got {gap_tolerance}")
+
+
+def _gap_weighted_sum(
+    eig: EigenSystem,
+    cross_terms: np.ndarray | list[float],
+    target_index: int,
+    gap_tolerance: float | None,
+) -> tuple[float, bool]:
+    """The bias sum c of the ``target_index``-th (1-based) eigenvalue i:
+    ``cross_terms`` holds the p - 1 forms q_j, with w_i in place of w_1, for
+    j != i in increasing order. Terms whose gap is below the tolerance are
+    skipped, and the returned flag says whether any was. The tolerance must
+    be finite and non-negative; ``None`` takes ``default_gap_tolerance``.
+    """
+    p = eig.p
+    check_gap_tolerance(gap_tolerance)
+    if gap_tolerance is None:
+        gap_tolerance = default_gap_tolerance(p)
+    i = target_index - 1
+    total = 0.0
+    warned = False
+    others = (j for j in range(p) if j != i)
+    for j, form in zip(others, cross_terms):
+        gap = eig.values[i] - eig.values[j]
+        if abs(gap) < gap_tolerance:
+            warned = True
+            continue
+        total += float(form) / gap
+    return total, warned
+
+
+@dataclass(frozen=True)
+class CorrectedEigenvalue:
+    """Bias term and the two corrected forms of the top eigenvalue.
+
+    ``corrected_shrunk`` always equals
+    ``(1 - rho) * corrected + rho`` (affine consistency).
+    """
+
+    bias: float
+    corrected: float
+    corrected_shrunk: float
+    gap_warning: bool
+
+
+def corrected_top_eigenvalue(
+    eig: EigenSystem,
+    shrinkage_est: ShrinkageEstimate,
+    asym: AsymptoticScalars,
+    gap_tolerance: float | None = None,
+) -> CorrectedEigenvalue:
+    """Combine the shrunk top eigenvalue with its second-order correction,
+    whose numerators are ``asym.cross_terms``.
+    """
+    if eig.p < 2:
+        raise InputError("correction needs p >= 2 (no cross terms exist at p = 1)")
+    bias, warned = _gap_weighted_sum(eig, asym.cross_terms, 1, gap_tolerance)
+    rho = shrinkage_est.intensity
+    lam = float(eig.values[0])
+    lam_shrunk = float(shrinkage_est.shrunk_eigenvalues[0])
+    return CorrectedEigenvalue(
+        bias=bias,
+        corrected=lam - bias,
+        corrected_shrunk=lam_shrunk - (1.0 - rho) * bias,
+        gap_warning=warned,
+    )
 
 
 @dataclass(frozen=True)

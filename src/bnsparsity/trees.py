@@ -42,7 +42,7 @@ from .covariance import (
     finite_second_moments,
     representable_second_moments,
 )
-from .errors import InputError
+from .errors import InputError, check_alpha, check_seed
 from .records import Record
 
 # Perfectly correlated pairs would give infinite weight; cap r^2 just below 1.
@@ -470,8 +470,8 @@ def paired_permutation_equality(
         raise InputError(
             f"at most {_MAX_ITERATIONS - 1} permutation iterations, got {m_iterations}"
         )
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
+    check_seed(seed)
     for data in (data_a, data_b):
         _checked_centering(data)
 

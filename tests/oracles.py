@@ -36,10 +36,9 @@ from bnsparsity.asymptotics import (
     check_form,
     divisor_value,
 )
-from bnsparsity.correction import _gap_weighted_sum
-from bnsparsity.covariance import CovarianceSuite, Dataset
+from bnsparsity.covariance import CovarianceSuite, Dataset, EigenSystem
 from bnsparsity.errors import CsvParseError, InputError
-from bnsparsity.kernels import EigenSystem
+from bnsparsity.sparsity import _gap_weighted_sum
 from bnsparsity.trees import _R_SQUARED_CAP, _centered_and_std, _mi_from_centered
 
 

@@ -262,7 +262,7 @@ class TestManifests:
         assert run_cli("compare", str(csv), str(csv), "--M", "99",
                        "--json-out", str(tmp_path / "c.json")) == 0
         assert run_cli("reproduce", "--table", "sim1", "--replicates", "50", "--models", "A",
-                       "--n", "12", "--out-dir", str(tmp_path)) == 0
+                       "--n", "25", "--out-dir", str(tmp_path)) == 0
         for name, command in [
             ("d.manifest.json", "simulate"), ("g.manifest.json", "simulate"),
             ("t.manifest.json", "test"), ("f.manifest.json", "fit-tree"),
@@ -276,7 +276,7 @@ class TestManifests:
                 assert manifest["seed"] == manifest["parameters"]["seed"]
         params = json.loads((tmp_path / "sim1_manifest.json").read_text())["parameters"]
         assert params["threads"] == 1 and params["replicates"] == 50
-        assert params["n"] == [12] and params["models"] == "A"
+        assert params["n"] == [25] and params["models"] == "A"
         assert params["divisor"] == "nminusp" and params["form"] == "conservative"
 
     def test_replay_from_manifest_is_byte_identical(self, tmp_path):

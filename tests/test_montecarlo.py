@@ -8,7 +8,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from bnsparsity import Dataset, InputError, run_basic_simulation, run_power_study
+from bnsparsity import (
+    Dataset,
+    InputError,
+    InsufficientSampleError,
+    run_basic_simulation,
+    run_power_study,
+)
 from bnsparsity import montecarlo
 from bnsparsity.cli import main
 
@@ -141,9 +147,11 @@ class TestThreads:
         # a power study with one replicate per graph has two tasks
         run_power_study(replicates_per_graph=1, seed=1, n_values=(12,), p=8,
                         edges_per_step=1, steps=1, chains=1, threads=10**6)
-        # the caller runs one block itself
-        assert (grid_forks, len(forks) - grid_forks) == (2, 1)
-        assert capped.to_dict() == run_basic_simulation(threads=1, **kwargs).to_dict()
+        power_forks = len(forks) - grid_forks
+        serial = run_basic_simulation(threads=1, **kwargs)
+        # the caller runs one block itself; with one worker it runs every task
+        assert (grid_forks, power_forks, len(forks)) == (2, 1, 3)
+        assert capped.to_dict() == serial.to_dict()
 
     def test_without_fork_more_than_one_thread_is_an_input_error(self, monkeypatch, tmp_path):
         monkeypatch.delattr(os, "fork")
@@ -167,23 +175,39 @@ class TestThreads:
 
 
 class TestOptionsCheckedOnEntry:
-    BAD = [dict(alpha=1.5), dict(alpha=-1), dict(form="bogus"), dict(divisor="bogus")]
+    POWER = dict(replicates_per_graph=50, seed=1, n_values=(12,), p=8)
+    BAD = [dict(alpha=1.5), dict(alpha=-1), dict(form="bogus"), dict(divisor="bogus"),
+           dict(seed=-1), dict(n_values=(0,)), dict(n_values=(12, -3)), dict(n_values=())]
+    # p = 8 in both runners
+    TOO_SMALL = [dict(n_values=(8,)), dict(n_values=(12, 3))]
 
     @pytest.fixture(autouse=True)
     def no_draws(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("drew a model before checking the options")
+            raise AssertionError("drew a model or forked before checking the options")
 
         monkeypatch.setattr(montecarlo, "random_model", refuse)
         monkeypatch.setattr(montecarlo, "power_chain", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
 
     @pytest.mark.parametrize("bad", BAD)
     def test_runners_refuse_bad_options(self, bad):
         with pytest.raises(InputError):
-            run_basic_simulation(threads=2, **SMALL_GRID, **bad)
+            run_basic_simulation(threads=2, **{**SMALL_GRID, **bad})
         with pytest.raises(InputError):
-            run_power_study(replicates_per_graph=50, seed=1, n_values=(12,), p=8, threads=2,
-                            **bad)
+            run_power_study(threads=2, **{**self.POWER, **bad})
+
+    @pytest.mark.parametrize("bad", TOO_SMALL)
+    def test_runners_refuse_n_not_above_p(self, bad):
+        with pytest.raises(InsufficientSampleError, match="n=.*, p=8"):
+            run_basic_simulation(threads=2, **{**SMALL_GRID, **bad})
+        with pytest.raises(InsufficientSampleError, match="n=.*, p=8"):
+            run_power_study(threads=2, **{**self.POWER, **bad})
+
+    @pytest.mark.parametrize("models", [("F",), ("A", "Z"), ("AB",), ()])
+    def test_grid_refuses_unknown_model_kinds(self, models):
+        with pytest.raises(InputError, match="model kind"):
+            run_basic_simulation(threads=2, **{**SMALL_GRID, "models": models})
 
     @pytest.mark.parametrize("table", ["sim1", "power"])
     def test_cli_exits_2_and_writes_no_report(self, tmp_path, capsys, table):
@@ -191,6 +215,14 @@ class TestOptionsCheckedOnEntry:
                      "--seed", "1", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "alpha must be in (0, 1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("table", ["sim1", "power"])
+    def test_cli_n_not_above_p_exits_4_and_writes_no_report(self, tmp_path, capsys, table):
+        code = main(["reproduce", "--table", table, "--replicates", "50", "--n", "10",
+                     "--seed", "1", "--out-dir", str(tmp_path)])
+        assert code == 4
+        assert "need more samples than variables" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -295,8 +295,13 @@ class TestPairedPermutation:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5])
     def test_bad_alpha(self, rng, alpha):
         a = Dataset(values=rng.standard_normal((30, 4)))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"alpha must be in \(0, 1\)"):
             paired_permutation_equality(a, a, m_iterations=99, alpha=alpha)
+
+    def test_negative_seed_is_an_input_error(self, rng):
+        a = Dataset(values=rng.standard_normal((30, 4)))
+        with pytest.raises(InputError, match="seed must be non-negative"):
+            paired_permutation_equality(a, a, m_iterations=99, seed=-1)
 
     def test_refuses_spawn_keys_of_two_words(self, rng, monkeypatch):
         # child 2**32 would need a two-word spawn key, which the vectorized
