@@ -39,9 +39,7 @@ from .errors import (
 from .montecarlo import MonteCarloReport, MonteCarloRow, run_basic_simulation, run_power_study
 from .simulate import (
     GenerativeModel,
-    NoiseSpec,
     PowerChain,
-    UndirectedGraph,
     WeightedDag,
     analytic_normalized_precision,
     is_forest,
@@ -84,14 +82,12 @@ __all__ = [
     "InsufficientSampleError",
     "MonteCarloReport",
     "MonteCarloRow",
-    "NoiseSpec",
     "NumericalError",
     "PermutationTestResult",
     "PowerChain",
     "ShrinkageEstimate",
     "SingularityError",
     "SparsityTestResult",
-    "UndirectedGraph",
     "WeightedDag",
     "analytic_normalized_precision",
     "build_asymptotics",

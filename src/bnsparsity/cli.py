@@ -5,8 +5,8 @@ Subcommands: ``test`` (run the max-in-degree test on a CSV), ``simulate``
 rejection-rate tables and the power study), ``fit-tree`` (tree structure
 fit), and ``compare`` (paired network-equality permutation test).
 
-Exit codes: 0 success, 2 input error, 3 numerical error, 4 insufficient
-sample.
+Exit codes: 0 success, 2 input error (also a file-system error or running
+out of memory), 3 numerical error, 4 insufficient sample.
 """
 
 from __future__ import annotations
@@ -101,8 +101,6 @@ def _cmd_reproduce(args) -> int:
         args.n = list(DEFAULT_N_VALUES)
     if args.replicates is None:
         args.replicates = 300 if args.table == "power" else 400
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     common = dict(
         seed=args.seed, n_values=tuple(args.n), alpha=args.alpha, divisor=args.divisor,
         form=args.form, threads=args.threads,
@@ -122,6 +120,9 @@ def _cmd_reproduce(args) -> int:
             args.table, replicates=args.replicates,
             models=tuple(args.models.replace(",", "")), **common,
         )
+    # made only now, so that a refused run leaves no directory behind
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{args.table}_report.csv"
     json_path = out_dir / f"{args.table}_report.json"
     csv_path.write_text(report.to_csv(), encoding="utf-8")
@@ -272,8 +273,9 @@ def run(args: argparse.Namespace) -> int:
     except BnSparsityError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (OSError, MemoryError) as err:
+        # numpy's MemoryError names the size of the array it could not allocate
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return InputError.exit_code
 
 

@@ -39,7 +39,6 @@ from .records import Record
 from .simulate import (
     MODEL_KINDS,
     GenerativeModel,
-    NoiseSpec,
     WeightedDag,
     fresh_seed,
     power_chain,
@@ -373,7 +372,7 @@ def run_power_study(
     def model_for(dag: WeightedDag) -> GenerativeModel:
         # the edge-growth protocol regenerates only edge weights; error
         # variances stay at 1
-        return GenerativeModel(kind="A", dag=dag, noise=NoiseSpec(variances=np.ones(p)))
+        return GenerativeModel(kind="A", dag=dag, variances=np.ones(p))
 
     # (slot, step) grid; slot 0 is the shared base graph, chains are 1-based.
     graph_models = [(0, 0, model_for(chain_set.base))]

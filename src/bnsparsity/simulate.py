@@ -1,6 +1,9 @@
 """Random weighted DAGs, dataset generation under five generative models,
 graph-theoretic ground truths, and the power-study edge chains.
 
+A model's kind sets the error law and ``GenerativeModel.variances`` the
+error scales; ``moral_graph`` returns a symmetric 0/1 adjacency array.
+
 Generative kinds:
   A  linear network, Gaussian errors (all assumptions met)
   B  linear, errors from a t distribution with 2 degrees of freedom
@@ -107,39 +110,30 @@ class WeightedDag:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Per-vertex error scales (as variances). The error law is set by the
-    model's kind."""
+class GenerativeModel:
+    """A weighted DAG plus everything needed to sample from it: the kind sets
+    the error law, ``variances`` the per-vertex error scales."""
 
+    kind: str
+    dag: WeightedDag
     variances: np.ndarray
+    glm_families: list[str] | None = None
+    nonlinearities: list[str] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
         if np.any(self.variances <= 0) or not np.all(np.isfinite(self.variances)):
             raise InputError("noise variances must be positive and finite")
-
-
-@dataclass(frozen=True)
-class GenerativeModel:
-    """A weighted DAG plus everything needed to sample from it."""
-
-    kind: str
-    dag: WeightedDag
-    noise: NoiseSpec
-    glm_families: list[str] | None = None
-    nonlinearities: list[str] | None = None
-
-    def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InputError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if (self.kind == "D") != (self.glm_families is not None):
             raise InputError("glm_families must be given exactly for kind D")
         if (self.kind == "E") != (self.nonlinearities is not None):
             raise InputError("nonlinearities must be given exactly for kind E")
-        if self.noise.variances.shape != (self.dag.p,):
+        if self.variances.shape != (self.dag.p,):
             raise InputError(
                 f"noise variances must have one entry per vertex ({self.dag.p}), "
-                f"got shape {self.noise.variances.shape}"
+                f"got shape {self.variances.shape}"
             )
         if self.glm_families is not None:
             if len(self.glm_families) != self.dag.p or any(
@@ -151,29 +145,6 @@ class GenerativeModel:
                 f not in NONLINEARITIES for f in self.nonlinearities
             ):
                 raise InputError("nonlinearities must assign a known function per vertex")
-
-
-@dataclass(frozen=True)
-class UndirectedGraph:
-    """Symmetric 0/1 adjacency with a zero diagonal."""
-
-    adjacency: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "adjacency", np.asarray(self.adjacency, dtype=int))
-        a = self.adjacency
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError("adjacency must be square")
-        if np.any(a != a.T) or np.any(np.diag(a) != 0):
-            raise InputError("adjacency must be symmetric with a zero diagonal")
-
-    @property
-    def p(self) -> int:
-        return self.adjacency.shape[0]
-
-    def edges(self) -> list[tuple[int, int]]:
-        rows, cols = np.nonzero(np.triu(self.adjacency))
-        return [(int(i), int(j)) for i, j in zip(rows, cols)]
 
 
 def random_dag(
@@ -253,14 +224,15 @@ def random_model(
         variances = rng.uniform(0.5, 1.5, size=p)
     else:
         variances = np.ones(p)
-    noise = NoiseSpec(variances=variances)
     glm = None
     nonlin = None
     if kind == "D":
         glm = [str(f) for f in rng.choice(GLM_FAMILIES, size=p, p=GLM_PROBABILITIES)]
     if kind == "E":
         nonlin = [str(f) for f in rng.choice(NONLINEARITIES, size=p)]
-    return GenerativeModel(kind=kind, dag=dag, noise=noise, glm_families=glm, nonlinearities=nonlin)
+    return GenerativeModel(
+        kind=kind, dag=dag, variances=variances, glm_families=glm, nonlinearities=nonlin
+    )
 
 
 def sample_dataset(model: GenerativeModel, n: int, rng=None) -> Dataset:
@@ -275,7 +247,7 @@ def sample_dataset(model: GenerativeModel, n: int, rng=None) -> Dataset:
         raise InputError(f"need n >= 1 samples, got {n}")
     dag = model.dag
     adjacency = dag.adjacency
-    scale = np.sqrt(model.noise.variances)
+    scale = np.sqrt(model.variances)
     x = np.zeros((n, dag.p))
     for v in dag.order:
         parent_idx = np.flatnonzero(adjacency[:, v])
@@ -316,16 +288,16 @@ def analytic_normalized_precision(model: GenerativeModel):
         raise InputError(
             f"analytic form needs a kind-A (linear-Gaussian) model, got kind {model.kind}"
         )
-    dag, noise = model.dag, model.noise
-    b = np.eye(dag.p) - dag.adjacency
-    _, _, omega = normalize_precision(b @ np.diag(1.0 / noise.variances) @ b.T)
+    b = np.eye(model.dag.p) - model.dag.adjacency
+    _, _, omega = normalize_precision(b @ np.diag(1.0 / model.variances) @ b.T)
     eig = symmetric_eigen(omega)
     return omega, eig.values
 
 
-def moral_graph(dag: WeightedDag) -> UndirectedGraph:
-    """Undirected graph joining parents to children and co-parents to each
-    other (parents of a common child are married)."""
+def moral_graph(dag: WeightedDag) -> np.ndarray:
+    """Symmetric 0/1 int adjacency of the undirected graph joining parents
+    to children and co-parents to each other (parents of a common child are
+    married)."""
     p = dag.p
     adjacency = np.zeros((p, p), dtype=int)
     for child in range(p):
@@ -334,13 +306,24 @@ def moral_graph(dag: WeightedDag) -> UndirectedGraph:
             adjacency[u, child] = adjacency[child, u] = 1
         for u, w in itertools.combinations(parents.tolist(), 2):
             adjacency[u, w] = adjacency[w, u] = 1
-    return UndirectedGraph(adjacency=adjacency)
+    return adjacency
 
 
-def is_forest(graph: UndirectedGraph) -> bool:
-    """True when the graph has no cycles: a spanning forest keeps every edge."""
-    edges = graph.edges()
-    return len(spanning_forest(graph.p, edges)) == len(edges)
+def is_forest(adjacency) -> bool:
+    """True when the undirected graph with this adjacency (square, symmetric,
+    zero diagonal; every non-zero entry an edge) has no cycles: a spanning
+    forest keeps every edge."""
+    try:
+        a = np.asarray(adjacency, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise InputError(f"adjacency must be a numeric array: {err}") from err
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError("adjacency must be square")
+    if np.any(a != a.T) or np.any(np.diag(a) != 0):
+        raise InputError("adjacency must be symmetric with a zero diagonal")
+    rows, cols = np.nonzero(np.triu(a))
+    edges = [(int(i), int(j)) for i, j in zip(rows, cols)]
+    return len(spanning_forest(a.shape[0], edges)) == len(edges)
 
 
 def max_in_degree(dag: WeightedDag) -> int:
@@ -359,7 +342,6 @@ class PowerChain:
 
     base: WeightedDag
     chains: list[list[WeightedDag]]
-    edges_per_step: int
 
 
 def power_chain(
@@ -412,7 +394,7 @@ def power_chain(
                 struct[free[int(idx)]] = True
             graphs.append(weighted(struct))
         all_chains.append(graphs)
-    return PowerChain(base=base, chains=all_chains, edges_per_step=edges_per_step)
+    return PowerChain(base=base, chains=all_chains)
 
 
 def tuned_top_eigenvalue_model(
@@ -449,5 +431,5 @@ def tuned_top_eigenvalue_model(
     return GenerativeModel(
         kind="A",
         dag=WeightedDag(adjacency=adjacency, order=np.arange(p)),
-        noise=NoiseSpec(variances=np.ones(p)),
+        variances=np.ones(p),
     )

@@ -6,7 +6,6 @@ import pytest
 from bnsparsity import (
     Dataset,
     GenerativeModel,
-    NoiseSpec,
     WeightedDag,
     build_suite,
     random_model,
@@ -22,14 +21,12 @@ def chain_dag(p: int, weight: float = 1.0) -> WeightedDag:
     return WeightedDag(adjacency=adjacency, order=np.arange(p))
 
 
-def unit_noise(p: int) -> NoiseSpec:
-    return NoiseSpec(variances=np.ones(p))
-
-
-def gaussian_model(dag: WeightedDag, noise: NoiseSpec | None = None) -> GenerativeModel:
+def gaussian_model(dag: WeightedDag, variances: np.ndarray | None = None) -> GenerativeModel:
     """Kind-A (linear, Gaussian errors) model over ``dag``, with unit error
-    variances unless ``noise`` is given."""
-    return GenerativeModel(kind="A", dag=dag, noise=noise or unit_noise(dag.p))
+    variances unless ``variances`` is given."""
+    if variances is None:
+        variances = np.ones(dag.p)
+    return GenerativeModel(kind="A", dag=dag, variances=variances)
 
 
 def random_suite(rng: np.random.Generator, p: int = 4, n: int = 200, max_in_degree: int = 2):

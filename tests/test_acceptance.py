@@ -13,7 +13,6 @@ import numpy as np
 from bnsparsity import (
     Dataset,
     GenerativeModel,
-    NoiseSpec,
     analytic_normalized_precision,
     build_asymptotics,
     build_suite,
@@ -35,7 +34,7 @@ from bnsparsity import (
     suite_from_covariance,
     tuned_top_eigenvalue_model,
 )
-from conftest import chain_dag, gaussian_model, unit_noise
+from conftest import chain_dag, gaussian_model
 from oracles import (
     commutation_matrix,
     diagonalization_matrix,
@@ -87,8 +86,8 @@ def test_criterion_02_tree_eigenvalue_bound_and_forest_equivalence():
     for _ in range(500):
         p = int(rng.integers(3, 26))
         dag = random_dag(p, 1, rng=rng)
-        noise = NoiseSpec(variances=rng.uniform(0.5, 1.5, p))
-        _, values = analytic_normalized_precision(gaussian_model(dag, noise))
+        variances = rng.uniform(0.5, 1.5, p)
+        _, values = analytic_normalized_precision(gaussian_model(dag, variances))
         worst_top = max(worst_top, values[0])
         if values[0] > 2.0 + 1e-9:
             break
@@ -155,9 +154,9 @@ def test_criterion_04_normalized_precision_cov_oracle():
     rng = np.random.default_rng(104)
     start = time.perf_counter()
     dag = chain_dag(4, 0.9)
-    noise = NoiseSpec(variances=np.array([1.0, 1.3, 0.7, 1.0]))
+    variances = np.array([1.0, 1.3, 0.7, 1.0])
     b_inv = np.linalg.inv(np.eye(4) - dag.adjacency.T)
-    sigma = b_inv @ np.diag(noise.variances) @ b_inv.T
+    sigma = b_inv @ np.diag(variances) @ b_inv.T
     truth_suite = suite_from_covariance(sigma)
     predicted = {}  # asymptotic, scale of n=1
     for form in ("exact", "conservative"):
@@ -195,7 +194,7 @@ def test_criterion_05_eigenvalue_variance_tracking():
     start = time.perf_counter()
     model = random_model("A", 5, 2, rng=np.random.default_rng(55))
     b_inv = np.linalg.inv(np.eye(5) - model.dag.adjacency.T)
-    sigma = b_inv @ np.diag(model.noise.variances) @ b_inv.T
+    sigma = b_inv @ np.diag(model.variances) @ b_inv.T
     chol = np.linalg.cholesky(sigma)
     n, reps = 2000, 500
     tops = np.empty(reps)
@@ -426,7 +425,7 @@ def test_criterion_12_tree_fit_oracles():
         model = GenerativeModel(
             kind="A",
             dag=WeightedDag(adjacency=adjacency, order=np.arange(10)),
-            noise=unit_noise(10),
+            variances=np.ones(10),
         )
         data = sample_dataset(model, 1000, rng=rng)
         tree = chow_liu(data)

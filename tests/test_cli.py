@@ -9,9 +9,10 @@ import pytest
 import scipy
 
 from bnsparsity import Dataset, asymptotics, max_parents_test, read_csv, sparsity, write_csv
+from bnsparsity import cli
 from bnsparsity.cli import main, run
 from conftest import chain_dag
-from bnsparsity import GenerativeModel, NoiseSpec, sample_dataset
+from bnsparsity import GenerativeModel, sample_dataset
 
 
 def run_cli(*argv):
@@ -143,19 +144,21 @@ class TestTest:
 
 class TestReproduce:
     def test_sim1_smoke(self, tmp_path, capsys):
+        # a new nested --out-dir is made once the report is computed
+        out_dir = tmp_path / "new" / "nested"
         code = run_cli(
             "reproduce", "--table", "sim1", "--replicates", "50",
             "--models", "A", "--n", "25", "--seed", "13",
-            "--out-dir", str(tmp_path),
+            "--out-dir", str(out_dir),
         )
         assert code == 0
-        report = json.loads((tmp_path / "sim1_report.json").read_text())
+        report = json.loads((out_dir / "sim1_report.json").read_text())
         assert report["seed"] == 13
         (row,) = report["rows"]
         assert row["requested"] == 50
         assert 0.0 <= row["reject_fraction"] <= 1.0
-        assert (tmp_path / "sim1_report.csv").exists()
-        assert (tmp_path / "sim1_manifest.json").exists()
+        assert (out_dir / "sim1_report.csv").exists()
+        assert (out_dir / "sim1_manifest.json").exists()
 
     def test_power_smoke(self, tmp_path):
         code = run_cli(
@@ -183,12 +186,29 @@ class TestReproduce:
             == 2
         )
 
+    @pytest.mark.parametrize("options, code", [
+        (["--table", "sim1", "--replicates", "0"], 2),
+        (["--table", "sim1", "--models", "Z"], 2),
+        (["--table", "sim1", "--models", ""], 2),
+        (["--table", "sim1", "--alpha", "nan"], 2),
+        (["--table", "sim1", "--models", "A", "--n", "10"], 4),
+        (["--table", "power", "--steps", "0"], 2),
+        (["--table", "power", "--steps", "100"], 2),
+        (["--table", "power", "--replicates", "5", "--chains", "2"], 2),
+    ], ids=["replicates-0", "models-Z", "models-empty", "alpha-nan", "n-below-p",
+            "steps-0", "steps-100", "replicates-times-chains"])
+    def test_refused_run_leaves_no_out_dir(self, tmp_path, capsys, options, code):
+        out_dir = tmp_path / "new" / "nested"
+        assert run_cli("reproduce", *options, "--seed", "1", "--out-dir", str(out_dir)) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "new").exists()
+
 
 class TestFitTreeAndCompare:
     def _chain_csv(self, path, seed):
         rng = np.random.default_rng(seed)
         dag = chain_dag(10, 1.0)
-        model = GenerativeModel(kind="A", dag=dag, noise=NoiseSpec(variances=np.ones(10)))
+        model = GenerativeModel(kind="A", dag=dag, variances=np.ones(10))
         data = sample_dataset(model, 400, rng=rng)
         write_csv(data, path)
         return path
@@ -381,6 +401,42 @@ def test_dimension_over_the_cap_is_a_typed_error(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("error: ")
     assert "dimension 6 exceeds the dense-construction cap 5" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64",
+    "",
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command, callee", [
+    ("test", "max_parents_test"), ("simulate", "random_model"),
+    ("reproduce", "run_basic_simulation"), ("fit-tree", "chow_liu"),
+    ("compare", "paired_permutation_equality"),
+])
+def test_out_of_memory_is_a_typed_error(tmp_path, capsys, monkeypatch, command, callee, message):
+    # the callee raises as a failed allocation does; the allocation itself
+    # is never made, since under memory overcommit it can succeed and then
+    # exhaust the machine
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, callee, exhausted)
+    path = tmp_path / "data.csv"
+    write_csv(Dataset(values=np.random.default_rng(0).standard_normal((30, 3))), path)
+    argv = {
+        "test": ["test", str(path)],
+        "simulate": ["simulate", "--model", "A", "--p", "100000", "--n", "2", "--seed", "1",
+                     "--out", str(tmp_path / "x.csv")],
+        "reproduce": ["reproduce", "--table", "sim1", "--seed", "1",
+                      "--out-dir", str(tmp_path / "out")],
+        "fit-tree": ["fit-tree", str(path)],
+        "compare": ["compare", str(path), str(path), "--M", "99"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message or 'MemoryError'}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists() and not (tmp_path / "x.csv").exists()
 
 
 def _assert_scaled_run_matches(tmp_path, scale: float, *options: str) -> None:

@@ -14,9 +14,9 @@ PUBLIC_NAMES = {
     "AsymptoticScalars", "BnSparsityError", "ConvergenceError", "CorrectedEigenvalue",
     "CovarianceSuite", "CsvParseError", "Dataset", "DegenerateVarianceError", "EigenSystem",
     "FittedTree", "GenerativeModel", "InputError", "InsufficientSampleError",
-    "MonteCarloReport", "MonteCarloRow", "NoiseSpec", "NumericalError", "PROPAGATOR_FORMS",
+    "MonteCarloReport", "MonteCarloRow", "NumericalError", "PROPAGATOR_FORMS",
     "PermutationTestResult", "PowerChain", "ShrinkageEstimate", "SingularityError",
-    "SparsityTestResult", "UndirectedGraph", "WeightedDag", "__version__",
+    "SparsityTestResult", "WeightedDag", "__version__",
     "analytic_normalized_precision", "build_asymptotics", "build_suite", "chow_liu",
     "corrected_top_eigenvalue", "is_forest", "max_in_degree", "max_parents_test",
     "moral_graph", "normalized_precision_eigen", "paired_permutation_equality",
@@ -28,7 +28,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_unchanged_and_resolve():
-    assert len(PUBLIC_NAMES) == 53
+    assert len(PUBLIC_NAMES) == 51
     assert sorted(bnsparsity.__all__) == sorted(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         assert hasattr(bnsparsity, name), name

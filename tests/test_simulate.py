@@ -7,8 +7,6 @@ import pytest
 from bnsparsity import (
     GenerativeModel,
     InputError,
-    NoiseSpec,
-    UndirectedGraph,
     WeightedDag,
     analytic_normalized_precision,
     is_forest,
@@ -21,7 +19,7 @@ from bnsparsity import (
     sample_dataset,
     tuned_top_eigenvalue_model,
 )
-from conftest import chain_dag, gaussian_model, unit_noise
+from conftest import chain_dag, gaussian_model
 
 
 class TestWeightedDag:
@@ -89,11 +87,11 @@ class TestRandomDag:
 class TestGenerativeModel:
     def test_kind_specific_fields_enforced(self, rng):
         dag = random_dag(4, 1, rng=rng)
-        noise = unit_noise(4)
+        variances = np.ones(4)
         with pytest.raises(InputError):
-            GenerativeModel(kind="A", dag=dag, noise=noise, glm_families=["gaussian"] * 4)
+            GenerativeModel(kind="A", dag=dag, variances=variances, glm_families=["gaussian"] * 4)
         with pytest.raises(InputError):
-            GenerativeModel(kind="D", dag=dag, noise=noise)
+            GenerativeModel(kind="D", dag=dag, variances=variances)
 
     def test_random_model_families(self, rng):
         model = random_model("D", 30, 2, rng=rng)
@@ -102,21 +100,22 @@ class TestGenerativeModel:
         model_e = random_model("E", 30, 2, rng=rng)
         assert set(model_e.nonlinearities) <= {"abs", "sign", "scaled-expit"}
 
-    def test_noise_spec_validation(self):
-        with pytest.raises(InputError):
-            NoiseSpec(variances=np.array([1.0, 0.0]))
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_variances_positive_and_finite(self, bad):
+        with pytest.raises(InputError, match="positive and finite"):
+            GenerativeModel(kind="A", dag=chain_dag(2), variances=np.array([1.0, bad]))
 
     @pytest.mark.parametrize("count", [2, 5])
     def test_one_noise_variance_per_vertex(self, count):
         # too many used to be cut to the first p, too few an IndexError
         with pytest.raises(InputError, match="one entry per vertex"):
-            GenerativeModel(kind="A", dag=chain_dag(3), noise=unit_noise(count))
+            GenerativeModel(kind="A", dag=chain_dag(3), variances=np.ones(count))
 
 
 class TestSampleDataset:
     def test_empty_graph_is_iid_normal(self, rng):
         dag = WeightedDag(adjacency=np.zeros((4, 4)), order=np.arange(4))
-        model = GenerativeModel(kind="A", dag=dag, noise=unit_noise(4))
+        model = GenerativeModel(kind="A", dag=dag, variances=np.ones(4))
         data = sample_dataset(model, 100_000, rng=rng)
         assert np.abs(data.values.mean(axis=0)).max() <= 0.02
         assert np.abs(data.values.var(axis=0) - 1.0).max() <= 0.02
@@ -124,7 +123,7 @@ class TestSampleDataset:
 
     def test_chain_covariance_matches_analytic(self, rng):
         dag = chain_dag(3)
-        model = GenerativeModel(kind="A", dag=dag, noise=unit_noise(3))
+        model = GenerativeModel(kind="A", dag=dag, variances=np.ones(3))
         data = sample_dataset(model, 100_000, rng=rng)
         b_inv = np.linalg.inv(np.eye(3) - dag.adjacency.T)
         sigma = b_inv @ b_inv.T
@@ -135,7 +134,7 @@ class TestSampleDataset:
         # child = sign(parent) + noise: variance 1 + 1 = 2
         dag = chain_dag(2)
         model = GenerativeModel(
-            kind="E", dag=dag, noise=unit_noise(2), nonlinearities=["sign", "sign"]
+            kind="E", dag=dag, variances=np.ones(2), nonlinearities=["sign", "sign"]
         )
         data = sample_dataset(model, 100_000, rng=rng)
         assert data.values[:, 1].var() == pytest.approx(2.0, rel=0.03)
@@ -147,7 +146,7 @@ class TestSampleDataset:
         model = GenerativeModel(
             kind="D",
             dag=dag,
-            noise=NoiseSpec(variances=np.ones(p)),
+            variances=np.ones(p),
             glm_families=families,
         )
         data = sample_dataset(model, 200, rng=rng)
@@ -194,9 +193,14 @@ class TestAnalyticTruth:
         for _ in range(30):
             p = int(rng.integers(3, 10))
             dag = random_dag(p, 1, rng=rng)
-            noise = NoiseSpec(variances=rng.uniform(0.5, 1.5, p))
-            _, values = analytic_normalized_precision(gaussian_model(dag, noise))
+            variances = rng.uniform(0.5, 1.5, p)
+            _, values = analytic_normalized_precision(gaussian_model(dag, variances))
             assert values[0] <= 2.0 + 1e-9
+
+
+def _edges(adjacency: np.ndarray) -> set:
+    rows, cols = np.nonzero(np.triu(adjacency))
+    return {(int(i), int(j)) for i, j in zip(rows, cols)}
 
 
 def _markov_boundary(dag: WeightedDag, v: int) -> set:
@@ -216,12 +220,12 @@ class TestMoralGraph:
         adjacency[1, 2] = 1.0
         dag = WeightedDag(adjacency=adjacency, order=np.array([0, 1, 2]))
         graph = moral_graph(dag)
-        assert set(graph.edges()) == {(0, 1), (0, 2), (1, 2)}
+        assert _edges(graph) == {(0, 1), (0, 2), (1, 2)}
         assert not is_forest(graph)
 
     def test_chain(self):
         graph = moral_graph(chain_dag(3))
-        assert set(graph.edges()) == {(0, 1), (1, 2)}
+        assert _edges(graph) == {(0, 1), (1, 2)}
         assert is_forest(graph)
 
     def test_matches_markov_boundary_definition(self, rng):
@@ -229,10 +233,12 @@ class TestMoralGraph:
             p = int(rng.integers(3, 8))
             dag = random_dag(p, min(3, p - 1), rng=rng)
             graph = moral_graph(dag)
+            assert graph.dtype.kind == "i"
+            np.testing.assert_array_equal(graph, graph.T)
             for i in range(p):
                 for j in range(p):
                     expected = int(i != j and i in _markov_boundary(dag, j))
-                    assert graph.adjacency[i, j] == expected
+                    assert graph[i, j] == expected
 
     def test_forest_equivalence_light(self, rng):
         # full 500-draw version runs in the acceptance suite
@@ -242,14 +248,36 @@ class TestMoralGraph:
             assert is_forest(moral_graph(dag)) == (max_in_degree(dag) <= 1)
 
 
-class TestUndirectedGraph:
+class TestIsForest:
     def test_triangle_is_not_forest(self):
         adjacency = np.ones((3, 3), dtype=int) - np.eye(3, dtype=int)
-        assert not is_forest(UndirectedGraph(adjacency=adjacency))
+        assert not is_forest(adjacency)
 
-    def test_validation(self):
-        with pytest.raises(InputError):
-            UndirectedGraph(adjacency=np.array([[0, 1], [0, 0]]))
+    def test_list_of_lists_is_accepted(self):
+        assert is_forest([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        assert not is_forest([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+
+    def test_every_non_zero_entry_is_an_edge(self):
+        # a weighted triangle; an int cast would round its entries to 0
+        weighted = np.full((3, 3), 0.5) - np.diag(np.full(3, 0.5))
+        assert not is_forest(weighted)
+
+    @pytest.mark.parametrize(
+        "adjacency, message",
+        [
+            (np.zeros((2, 3), dtype=int), "square"),
+            (np.zeros(3, dtype=int), "square"),
+            (np.array([[0, 1], [0, 0]]), "symmetric"),
+            (np.array([[1, 0], [0, 0]]), "zero diagonal"),
+            ([[0, 1], [1]], "numeric array"),
+            ([[0, "x"], ["x", 0]], "numeric array"),
+        ],
+        ids=["non-square", "one-dimensional", "asymmetric", "non-zero-diagonal", "ragged",
+             "non-numeric"],
+    )
+    def test_validation(self, adjacency, message):
+        with pytest.raises(InputError, match=message):
+            is_forest(adjacency)
 
 
 class TestPowerChain:
@@ -268,7 +296,7 @@ class TestPowerChain:
         chain_set = power_chain(p=10, steps=2, chains=1, rng=rng)
         graph = moral_graph(chain_set.base)
         # p - 1 edges and no cycles means connected
-        assert len(graph.edges()) == 9
+        assert len(_edges(graph)) == 9
         assert is_forest(graph)
 
     def test_determinism(self):

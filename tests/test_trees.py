@@ -11,7 +11,6 @@ from bnsparsity import (
     Dataset,
     GenerativeModel,
     InputError,
-    NoiseSpec,
     WeightedDag,
     chow_liu,
     paired_permutation_equality,
@@ -26,7 +25,7 @@ def weighted_chain_model(rng, p=10):
     for j in range(1, p):
         adjacency[j - 1, j] = rng.uniform(0.8, 1.2) * rng.choice([-1.0, 1.0])
     dag = WeightedDag(adjacency=adjacency, order=np.arange(p))
-    return GenerativeModel(kind="A", dag=dag, noise=NoiseSpec(variances=np.ones(p)))
+    return GenerativeModel(kind="A", dag=dag, variances=np.ones(p))
 
 
 def brute_force_best_tree_score(mi: np.ndarray) -> float:
