@@ -4,7 +4,7 @@ normalized precision, under Gaussian sampling.
 The chain is: the vectorized sample covariance has asymptotic covariance
 ``V = (I + K)(S (x) S)``; the delta method carries it through matrix
 inversion and diagonal normalization via a propagation factor ``G`` so that
-``Cov(vec of normalized precision) ~ C = G.T V G / divisor``. Vectorization
+``Cov(vec of normalized precision) ~ C = G.T V G / (n - p)``. Vectorization
 stacks columns: ``vec(A)`` holds ``A[b, a]`` at position ``a p + b``, and K
 maps ``vec(A)`` to ``vec(A.T)``.
 
@@ -33,10 +33,6 @@ from scipy.linalg.lapack import dpotri
 
 from .covariance import CovarianceSuite, EigenSystem
 from .errors import InputError, InsufficientSampleError, SingularityError
-
-# The first entry of DIVISOR_MODES and of PROPAGATOR_FORMS is the test
-# pipeline's default.
-DIVISOR_MODES = ("nminusp", "n")
 
 # Propagation-factor forms. "exact" is the true gradient-layout
 # delta-method factor (finite-difference validated), giving the actual
@@ -96,20 +92,14 @@ def _form_suite(suite: CovarianceSuite, form: str) -> CovarianceSuite:
     )
 
 
-def check_divisor_mode(mode: str) -> None:
-    """Refuse a divisor mode that is not one of ``DIVISOR_MODES``."""
-    if mode not in DIVISOR_MODES:
-        raise InputError(f"divisor mode must be one of {DIVISOR_MODES}, got {mode!r}")
-
-
-def divisor_value(n: int, p: int, mode: str = "nminusp") -> int:
-    """Degrees-of-freedom divisor: n - p (default, conservative) or n."""
-    check_divisor_mode(mode)
+def divisor_value(n: int, p: int) -> int:
+    """The plug-in covariances' divisor, n - p, the degrees of freedom of
+    the test's reference t distribution."""
     if n <= p:
         raise InsufficientSampleError(
             f"need more samples than variables, got n={n}, p={p}"
         )
-    return n - p if mode == "nminusp" else n
+    return n - p
 
 
 # S (x) S is one dense p^4 array, 2.1 GB at this cap, which its factor, its
@@ -219,7 +209,7 @@ def _vec_cov_forms(sigma: np.ndarray, cols: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class AsymptoticScalars:
     """The numbers the test uses from the plug-in covariance
-    ``C = G.T V G / divisor`` of the vectorized normalized precision.
+    ``C = G.T V G / (n - p)`` of the vectorized normalized precision.
 
     ``cov_trace`` is tr C (shrinkage intensity), ``top_variance`` is
     ``(w_1 (x) w_1).T C (w_1 (x) w_1)``, the plug-in variance of the top
@@ -231,7 +221,6 @@ class AsymptoticScalars:
     cov_trace: float
     top_variance: float
     cross_terms: np.ndarray
-    divisor: int
 
 
 def _propagator(work: CovarianceSuite, form: str) -> np.ndarray:
@@ -287,10 +276,9 @@ def build_asymptotics(
     suite: CovarianceSuite,
     eig: EigenSystem,
     n: int,
-    divisor: str = "nminusp",
     form: str = "conservative",
 ) -> AsymptoticScalars:
-    """The test's plug-in scalars, without forming C or V.
+    """The test's plug-in scalars, divided by n - p, without forming C or V.
 
     Each needed quadratic form of C is a form of V at a column of G, or at
     G applied to an eigenvector product, which ``_vec_cov_forms`` reduces to
@@ -303,12 +291,11 @@ def build_asymptotics(
     This is the test pipeline's entry point, so ``form`` defaults to
     "conservative", the first of ``PROPAGATOR_FORMS``.
     """
-    div = divisor_value(n, suite.p, divisor)
+    div = divisor_value(n, suite.p)
     trace, g_dirs, sigma = _propagator_sums(suite, form, eig.vectors)
     forms = _vec_cov_forms(sigma, g_dirs) / div
     return AsymptoticScalars(
         cov_trace=trace / div,
         top_variance=float(forms[0]),
         cross_terms=forms[1:],
-        divisor=div,
     )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotics import DIVISOR_MODES, PROPAGATOR_FORMS
+from .asymptotics import PROPAGATOR_FORMS
 from .covariance import read_csv, write_csv
 from .errors import BnSparsityError, InputError, check_seed
 from .manifest import make_manifest, write_manifest
@@ -42,10 +42,7 @@ def _beside(artifact) -> Path:
 
 def _cmd_test(args) -> int:
     data = read_csv(args.csv)
-    result = max_parents_test(
-        data, args.alpha, divisor=args.divisor, gap_tolerance=args.gap_tol,
-        form=args.form,
-    )
+    result = max_parents_test(data, args.alpha, form=args.form)
     critical = student_t_quantile(1.0 - result.alpha, result.df)
     print("max in-degree test: H0 top eigenvalue <= 2 (max in-degree <= 1)")
     print(f"  n={result.n}  p={result.p}  df={result.df}")
@@ -102,8 +99,8 @@ def _cmd_reproduce(args) -> int:
     if args.replicates is None:
         args.replicates = 300 if args.table == "power" else 400
     common = dict(
-        seed=args.seed, n_values=tuple(args.n), alpha=args.alpha, divisor=args.divisor,
-        form=args.form, threads=args.threads,
+        seed=args.seed, n_values=tuple(args.n), alpha=args.alpha, form=args.form,
+        threads=args.threads,
     )
     if args.table == "power":
         if args.replicates * args.chains < 50:
@@ -175,6 +172,12 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+# option of earlier versions -> (the value that gave the rule replacing it, that rule)
+_REMOVED_OPTIONS = {
+    "--divisor": ("nminusp", "divides the plug-in covariances by n - p"),
+    "--gap-tol": (None, "skips bias terms at gaps below 1e-6 p"),
+}
+
 _COMMANDS = {
     "test": _cmd_test,
     "simulate": _cmd_simulate,
@@ -195,10 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("test", help="run the max-in-degree test on a dataset CSV")
     t.add_argument("csv", help="dataset CSV (header row, numeric rows)")
     t.add_argument("--alpha", type=float, default=0.05, help="test level (default .05)")
-    t.add_argument("--divisor", choices=DIVISOR_MODES, default=DIVISOR_MODES[0],
-                   help=f"plug-in covariance divisor (default {DIVISOR_MODES[0]})")
-    t.add_argument("--gap-tol", type=float, default=None,
-                   help="eigenvalue gap tolerance for the bias correction")
     t.add_argument("--form", choices=PROPAGATOR_FORMS, default=PROPAGATOR_FORMS[0],
                    help="covariance propagation: the conservative default shrinks "
                         "harder and holds the nominal level when n is close to p; "
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample size (repeatable; default "
                         + " ".join(map(str, DEFAULT_N_VALUES)) + ")")
     r.add_argument("--alpha", type=float, default=0.05)
-    r.add_argument("--divisor", choices=DIVISOR_MODES, default=DIVISOR_MODES[0])
     r.add_argument("--form", choices=PROPAGATOR_FORMS, default=PROPAGATOR_FORMS[0],
                    help="covariance propagation form used by every test")
     r.add_argument("--steps", type=int, default=10, help="power study: edge-addition steps")
@@ -263,8 +261,14 @@ def run(args: argparse.Namespace) -> int:
     """Run a parsed command line, or a namespace rebuilt from a manifest's
     ``parameters``; errors become an ``error:`` line and their exit code.
     A seeded command run without ``--seed`` gets a fresh one here, which its
-    manifest then records."""
+    manifest then records. A manifest written by an earlier version can hold
+    a removed option: it is dropped if it holds the value that gave the rule
+    which replaced it, and refused otherwise, never ignored."""
     try:
+        for flag, (fixed, rule) in _REMOVED_OPTIONS.items():
+            value = vars(args).pop(flag[2:].replace("-", "_"), fixed)  # argparse's dest
+            if value != fixed:
+                raise InputError(f"{flag} was removed: the test always {rule}, got {value!r}")
         if "seed" in vars(args):
             check_seed(args.seed)
             if args.seed is None:

@@ -114,7 +114,6 @@ class MonteCarloReport(Record):
     table: str
     p: int
     alpha: float
-    divisor: str
     seed: int
     replicates: int
     rows: list[MonteCarloRow] = field(default_factory=list)
@@ -161,10 +160,10 @@ def _check_run(n_values, p: int, threads: int) -> None:
         )
 
 
-def _test_outcome(data, alpha: float, divisor: str, form: str):
+def _test_outcome(data, alpha: float, form: str):
     """True/False for reject, or the error's type name on failure."""
     try:
-        return max_parents_test(data, alpha, divisor=divisor, form=form).reject
+        return max_parents_test(data, alpha, form=form).reject
     except BnSparsityError as err:
         return type(err).__name__
 
@@ -286,18 +285,17 @@ def run_basic_simulation(
     n_values: tuple[int, ...] = DEFAULT_N_VALUES,
     p: int = 20,
     alpha: float = 0.05,
-    divisor: str = "nminusp",
     form: str = "conservative",
     threads: int = 1,
 ) -> MonteCarloReport:
     """Rejection-rate grid at a fixed max in-degree (tables sim1/sim2/sim3).
 
     Each replicate draws a fresh network of the given kind, then one dataset
-    per sample size from that same network.
+    per sample size from that same network, for ``max_parents_test``.
     """
     if table not in BASIC_TABLES:
         raise InputError(f"table must be one of {sorted(BASIC_TABLES)}, got {table!r}")
-    check_test_options(alpha, divisor, form)
+    check_test_options(alpha, form)
     check_seed(seed)
     if replicates < 50:
         raise InputError(f"need at least 50 replicates, got {replicates}")
@@ -323,13 +321,13 @@ def run_basic_simulation(
             data = sample_dataset(
                 model, n, rng=derived_rng(seed, _STREAM_DATA, kind_idx, rep, n)
             )
-            pairs.append((first_row + n_idx, _test_outcome(data, alpha, divisor, form)))
+            pairs.append((first_row + n_idx, _test_outcome(data, alpha, form)))
         return pairs
 
     labels = [(kind, n, nabla) for kind in kinds for n in n_values]
     tasks = [(kind_idx, rep) for kind_idx in range(len(kinds)) for rep in range(replicates)]
     return MonteCarloReport(
-        table=table, p=p, alpha=alpha, divisor=divisor, seed=seed, replicates=replicates,
+        table=table, p=p, alpha=alpha, seed=seed, replicates=replicates,
         rows=_run_grid(labels, tasks, worker, threads),
     )
 
@@ -343,19 +341,18 @@ def run_power_study(
     steps: int = 10,
     chains: int = 10,
     alpha: float = 0.05,
-    divisor: str = "nminusp",
     form: str = "conservative",
     threads: int = 1,
 ) -> MonteCarloReport:
     """Rejection rate as the true graph grows away from a tree.
 
     Step 0 is the single-parent base graph (the null holds); step k graphs
-    carry ``k * edges_per_step`` extra edges. Fractions pool the chains at
-    each step.
+    carry ``k * edges_per_step`` extra edges; ``max_parents_test`` runs on
+    each dataset. Fractions pool the chains at each step.
     """
     if replicates_per_graph < 1:
         raise InputError("need at least 1 replicate per graph")
-    check_test_options(alpha, divisor, form)
+    check_test_options(alpha, form)
     check_seed(seed)
     _check_run(n_values, p, threads)
     if seed is None:
@@ -386,7 +383,7 @@ def run_power_study(
         data = sample_dataset(
             model, n, rng=derived_rng(seed, _STREAM_POWER_DATA, slot, step, n, rep)
         )
-        return [(n_idx * (steps + 1) + step, _test_outcome(data, alpha, divisor, form))]
+        return [(n_idx * (steps + 1) + step, _test_outcome(data, alpha, form))]
 
     labels = [("A", n, step) for n in n_values for step in range(steps + 1)]
     tasks = [
@@ -399,7 +396,6 @@ def run_power_study(
         table="power",
         p=p,
         alpha=alpha,
-        divisor=divisor,
         seed=seed,
         replicates=replicates_per_graph,
         rows=_run_grid(labels, tasks, worker, threads),

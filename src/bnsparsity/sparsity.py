@@ -14,13 +14,13 @@ of vec R. Two stages:
   rho = tr C / (tr C + sum_j lambda_j^2 - p), clamped into (0, 1]. The map
   x -> (1 - rho) x + rho shrinks R and each eigenvalue alike (``shrink``).
 - Second-order bias correction: lambda_1 is biased upward by about
-  c = sum_{j > 1} q_j / (lambda_1 - lambda_j). Terms with a gap below a
-  tolerance are skipped and flagged instead of amplifying noise
+  c = sum_{j > 1} q_j / (lambda_1 - lambda_j). Terms with a gap below
+  1e-6 p are skipped and flagged instead of amplifying noise
   (``corrected_top_eigenvalue``).
 
 Then t = ((1 - rho)(lambda_1 - c) + rho - 2) / ((1 - rho) sqrt(Var
 lambda_1)) is referred to a Student t distribution with n - p degrees of
-freedom; the test is one-sided (reject for large t).
+freedom, the divisor of C; the test is one-sided (reject for large t).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, stdtrit
 
-from .asymptotics import AsymptoticScalars, build_asymptotics, check_divisor_mode, check_form
+from .asymptotics import AsymptoticScalars, build_asymptotics, check_form
 from .covariance import Dataset, EigenSystem, build_suite, normalized_precision_eigen
 from .errors import DegenerateVarianceError, InputError, check_alpha
 from .records import Record
@@ -38,6 +38,8 @@ from .records import Record
 # Floating-point noise can push the mathematically-(0, 1] intensity
 # infinitesimally outside; clamping keeps downstream formulas finite.
 INTENSITY_FLOOR = 1e-12
+# A bias term whose eigenvalue gap is below this times p is skipped.
+_GAP_TOLERANCE_PER_VARIABLE = 1e-6
 
 
 def student_t_sf(t: float, df: int) -> float:
@@ -71,11 +73,10 @@ def student_t_quantile(prob: float, df: int) -> float:
     return float(stdtrit(df, prob))
 
 
-def check_test_options(alpha: float, divisor: str, form: str) -> None:
-    """Refuse a test level outside (0, 1), or a divisor mode or propagation
-    form the asymptotics do not know, before any work is done."""
+def check_test_options(alpha: float, form: str) -> None:
+    """Refuse a test level outside (0, 1), or a propagation form the
+    asymptotics do not know, before any work is done."""
     check_alpha(alpha)
-    check_divisor_mode(divisor)
     check_form(form)
 
 
@@ -121,46 +122,6 @@ def shrink(eig: EigenSystem, asym: AsymptoticScalars) -> ShrinkageEstimate:
     return ShrinkageEstimate(intensity=rho, shrunk_eigenvalues=(1.0 - rho) * eig.values + rho)
 
 
-def default_gap_tolerance(p: int) -> float:
-    return 1e-6 * p
-
-
-def check_gap_tolerance(gap_tolerance: float | None) -> None:
-    """Refuse a gap tolerance that is not finite and non-negative (``None``
-    stands for ``default_gap_tolerance``)."""
-    if gap_tolerance is not None and not 0.0 <= gap_tolerance < np.inf:
-        raise InputError(f"gap tolerance must be finite and >= 0, got {gap_tolerance}")
-
-
-def _gap_weighted_sum(
-    eig: EigenSystem,
-    cross_terms: np.ndarray | list[float],
-    target_index: int,
-    gap_tolerance: float | None,
-) -> tuple[float, bool]:
-    """The bias sum c of the ``target_index``-th (1-based) eigenvalue i:
-    ``cross_terms`` holds the p - 1 forms q_j, with w_i in place of w_1, for
-    j != i in increasing order. Terms whose gap is below the tolerance are
-    skipped, and the returned flag says whether any was. The tolerance must
-    be finite and non-negative; ``None`` takes ``default_gap_tolerance``.
-    """
-    p = eig.p
-    check_gap_tolerance(gap_tolerance)
-    if gap_tolerance is None:
-        gap_tolerance = default_gap_tolerance(p)
-    i = target_index - 1
-    total = 0.0
-    warned = False
-    others = (j for j in range(p) if j != i)
-    for j, form in zip(others, cross_terms):
-        gap = eig.values[i] - eig.values[j]
-        if abs(gap) < gap_tolerance:
-            warned = True
-            continue
-        total += float(form) / gap
-    return total, warned
-
-
 @dataclass(frozen=True)
 class CorrectedEigenvalue:
     """Bias term and the two corrected forms of the top eigenvalue.
@@ -179,14 +140,23 @@ def corrected_top_eigenvalue(
     eig: EigenSystem,
     shrinkage_est: ShrinkageEstimate,
     asym: AsymptoticScalars,
-    gap_tolerance: float | None = None,
 ) -> CorrectedEigenvalue:
-    """Combine the shrunk top eigenvalue with its second-order correction,
-    whose numerators are ``asym.cross_terms``.
+    """Combine the shrunk top eigenvalue with its second-order correction
+    c = sum_{j > 1} q_j / (lambda_1 - lambda_j), whose numerators q_j are
+    ``asym.cross_terms``. A term whose gap is below 1e-6 p is skipped, and
+    ``gap_warning`` says whether any was.
     """
     if eig.p < 2:
         raise InputError("correction needs p >= 2 (no cross terms exist at p = 1)")
-    bias, warned = _gap_weighted_sum(eig, asym.cross_terms, 1, gap_tolerance)
+    tolerance = _GAP_TOLERANCE_PER_VARIABLE * eig.p
+    bias = 0.0
+    warned = False
+    for lam_j, form in zip(eig.values[1:], asym.cross_terms):
+        gap = eig.values[0] - lam_j
+        if abs(gap) < tolerance:
+            warned = True
+            continue
+        bias += float(form) / gap
     rho = shrinkage_est.intensity
     lam = float(eig.values[0])
     lam_shrunk = float(shrinkage_est.shrunk_eigenvalues[0])
@@ -221,28 +191,26 @@ def max_parents_test(
     data: Dataset,
     alpha: float = 0.05,
     *,
-    divisor: str = "nminusp",
-    gap_tolerance: float | None = None,
     form: str = "conservative",
 ) -> SparsityTestResult:
     """Run the full pipeline on a dataset and test the max-in-degree null.
 
-    ``divisor`` switches the plug-in covariance denominator between n - p
-    (default) and n; ``gap_tolerance`` passes through to the bias
-    correction; ``form`` selects the covariance propagation factor (the
-    "conservative" default shrinks harder and holds the nominal level when
-    n is close to p; "exact" is the delta-method-exact covariance, which is
-    anticonservative in that regime). Deterministic given the data.
+    The plug-in covariances are divided by n - p, bias terms at eigenvalue
+    gaps below 1e-6 p are skipped (``gap_warning``), and t has n - p
+    degrees of freedom. ``form`` selects the covariance propagation factor
+    (the "conservative" default shrinks harder and holds the nominal level
+    when n is close to p; "exact" is the delta-method-exact covariance,
+    which is anticonservative in that regime). Deterministic given the
+    data.
     """
-    check_test_options(alpha, divisor, form)
+    check_test_options(alpha, form)
     if data.p < 2:
         raise InputError(f"test needs p >= 2 variables, got p={data.p}")
-    check_gap_tolerance(gap_tolerance)
     suite = build_suite(data)
     eig = normalized_precision_eigen(suite)
-    asym = build_asymptotics(suite, eig, data.n, divisor, form)
+    asym = build_asymptotics(suite, eig, data.n, form)
     shrunk = shrink(eig, asym)
-    corrected = corrected_top_eigenvalue(eig, shrunk, asym, gap_tolerance)
+    corrected = corrected_top_eigenvalue(eig, shrunk, asym)
     top_var = asym.top_variance
     sigma = (1.0 - shrunk.intensity) * float(np.sqrt(max(top_var, 0.0)))
     if sigma <= 0.0:

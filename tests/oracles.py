@@ -6,7 +6,7 @@ and p - 1 quadratic forms for the bias term. ``build_asymptotics`` computes
 them without forming C. This module builds the p^2 x p^2 objects they come
 from, so the tests and acceptance criteria can check the scalars against
 them: the vec and commutation identities, the full-width propagation
-factor G, ``V = (I + K)(S (x) S)``, ``C = G.T V G / divisor``, the
+factor G, ``V = (I + K)(S (x) S)``, ``C = G.T V G / (n - p)``, the
 eigenvalue covariance and the dense bias term.
 
 All vectorized objects use column-major stacking, so that
@@ -38,7 +38,6 @@ from bnsparsity.asymptotics import (
 )
 from bnsparsity.covariance import CovarianceSuite, Dataset, EigenSystem
 from bnsparsity.errors import CsvParseError, InputError
-from bnsparsity.sparsity import _gap_weighted_sum
 from bnsparsity.trees import _R_SQUARED_CAP, _centered_and_std, _mi_from_centered
 
 
@@ -154,11 +153,11 @@ def propagation_vec_cov(suite: CovarianceSuite, form: str = "exact") -> np.ndarr
 
 
 def normalized_precision_cov(
-    suite: CovarianceSuite, n: int, divisor: str = "nminusp", form: str = "exact"
+    suite: CovarianceSuite, n: int, form: str = "exact"
 ) -> np.ndarray:
     """Plug-in covariance of the vectorized normalized precision,
-    ``G.T V G / (n - p)`` by default."""
-    div = divisor_value(n, suite.p, divisor)
+    ``G.T V G / (n - p)``."""
+    div = divisor_value(n, suite.p)
     g = normalization_propagator(suite, form)
     s = g.T @ propagation_vec_cov(suite, form) @ g / div
     return 0.5 * (s + s.T)
@@ -178,13 +177,12 @@ def eigenvalue_cov(
     suite: CovarianceSuite,
     eig: EigenSystem,
     n: int,
-    divisor: str = "nminusp",
     form: str = "exact",
 ) -> np.ndarray:
     """Plug-in covariance of the normalized-precision eigenvalues: the
     projection of ``normalized_precision_cov`` of the same form onto the
     eigenvalue gradients."""
-    cov = normalized_precision_cov(suite, n, divisor, form)
+    cov = normalized_precision_cov(suite, n, form)
     grads = eigenvalue_gradients(eig)
     out = grads.T @ cov @ grads
     return 0.5 * (out + out.T)
@@ -200,21 +198,28 @@ def bias_term(
     from the dense plug-in covariance ``cov`` of the vectorized matrix.
 
     Returns ``(value, gap_warning)``; the warning is set when any pairwise
-    gap fell below the tolerance and that term was skipped. For the top
-    eigenvalue every kept denominator is positive, so the value is
-    non-negative whenever ``cov`` is positive semi-definite.
+    gap fell below the tolerance (1e-6 p unless given) and that term was
+    skipped. For the top eigenvalue every kept denominator is positive, so
+    the value is non-negative whenever ``cov`` is positive semi-definite.
     """
     p = eig.p
     if not 1 <= target_index <= p:
         raise InputError(f"target index must be in [1, {p}], got {target_index}")
+    if gap_tolerance is None:
+        gap_tolerance = 1e-6 * p
     i = target_index - 1
     w_i = eig.vectors[:, i]
-    cross = []
+    value, warned = 0.0, False
     for j in range(p):
-        if j != i:
-            w = np.kron(eig.vectors[:, j], w_i)
-            cross.append(float(w @ (cov @ w)))
-    return _gap_weighted_sum(eig, cross, target_index, gap_tolerance)
+        if j == i:
+            continue
+        gap = eig.values[i] - eig.values[j]
+        if abs(gap) < gap_tolerance:
+            warned = True
+            continue
+        w = np.kron(eig.vectors[:, j], w_i)
+        value += float(w @ (cov @ w)) / gap
+    return value, warned
 
 
 def gaussian_mutual_information(r: float) -> float:

@@ -20,7 +20,6 @@ from bnsparsity import (
     suite_from_covariance,
 )
 from bnsparsity.asymptotics import (
-    DIVISOR_MODES,
     _form_suite,
     _jacobian_parts,
     _vec_cov_forms,
@@ -182,13 +181,6 @@ class TestNormalizedPrecisionCov:
         cov = normalized_precision_cov(suite, n=1_000_000)
         assert np.abs(cov).max() <= 1e-4
 
-    def test_divisor_modes_scale_exactly(self):
-        suite = chain_suite()
-        n = 40
-        a = normalized_precision_cov(suite, n, divisor="nminusp")
-        b = normalized_precision_cov(suite, n, divisor="n")
-        np.testing.assert_allclose(a * (n - suite.p) / n, b, atol=1e-15)
-
     def test_diagonal_positions_are_flat(self):
         # unit-diagonal entries of the normalized precision cannot vary;
         # exact in the delta-method form
@@ -211,7 +203,7 @@ class TestNormalizedPrecisionCov:
         with pytest.raises(InsufficientSampleError):
             normalized_precision_cov(suite, n=3)
         with pytest.raises(InsufficientSampleError):
-            divisor_value(3, 3, "n")
+            divisor_value(3, 3)
 
     def test_monte_carlo_covariance(self, rng):
         # reduced-size version of the acceptance oracle (criterion 4 runs
@@ -280,12 +272,14 @@ class TestEigenvalueCov:
         assert 0.5 <= tops.var() / ratios.mean() <= 2.0
 
     def test_build_asymptotics_divisor(self, rng):
+        # n enters only as the divisor n - p: 100 at n = 104, 200 at n = 204
         suite, data = random_suite(rng, p=4, n=104)
         eig = normalized_precision_eigen(suite)
         asym = build_asymptotics(suite, eig, data.n)
-        assert asym.divisor == 100
-        asym_n = build_asymptotics(suite, eig, data.n, divisor="n")
-        assert asym_n.divisor == 104
+        twice = build_asymptotics(suite, eig, 204)
+        assert asym.cov_trace == pytest.approx(2 * twice.cov_trace, rel=1e-15)
+        assert asym.top_variance == pytest.approx(2 * twice.top_variance, rel=1e-15)
+        np.testing.assert_allclose(asym.cross_terms, 2 * twice.cross_terms, rtol=1e-15)
 
 
 class TestScalarPathMatchesDenseOracle:
@@ -294,17 +288,15 @@ class TestScalarPathMatchesDenseOracle:
 
     def _assert_matches(self, suite, eig, n):
         for form in PROPAGATOR_FORMS:
-            for divisor in DIVISOR_MODES:
-                asym = build_asymptotics(suite, eig, n, divisor, form)
-                cov = normalized_precision_cov(suite, n, divisor, form)
-                assert asym.divisor == divisor_value(n, suite.p, divisor)
-                assert asym.cov_trace == pytest.approx(np.trace(cov), rel=1e-10)
-                top = eigenvalue_cov(suite, eig, n, divisor, form)[0, 0]
-                assert asym.top_variance == pytest.approx(top, rel=1e-10)
-                corrected = corrected_top_eigenvalue(eig, shrink(eig, asym), asym)
-                bias, warned = bias_term(eig, cov)
-                assert corrected.bias == pytest.approx(bias, rel=1e-10)
-                assert corrected.gap_warning == warned
+            asym = build_asymptotics(suite, eig, n, form)
+            cov = normalized_precision_cov(suite, n, form)
+            assert asym.cov_trace == pytest.approx(np.trace(cov), rel=1e-10)
+            top = eigenvalue_cov(suite, eig, n, form)[0, 0]
+            assert asym.top_variance == pytest.approx(top, rel=1e-10)
+            corrected = corrected_top_eigenvalue(eig, shrink(eig, asym), asym)
+            bias, warned = bias_term(eig, cov)
+            assert corrected.bias == pytest.approx(bias, rel=1e-10)
+            assert corrected.gap_warning == warned
 
     @pytest.mark.parametrize("p", [2, 3, 5, 12])
     def test_random_suites(self, rng, p):
@@ -370,17 +362,16 @@ class TestInPlacePropagator:
         assert np.array_equal(jac, normalization_jacobian(suite, transpose))
 
     @pytest.mark.parametrize("form", PROPAGATOR_FORMS)
-    @pytest.mark.parametrize("divisor", DIVISOR_MODES)
     @pytest.mark.parametrize("p", [2, 5, 7, 12, 20, 37])
-    def test_scalars_match_the_cho_solve_propagator(self, monkeypatch, form, divisor, p):
+    def test_scalars_match_the_cho_solve_propagator(self, monkeypatch, form, p):
         suite, eig, n = _suite_and_eig(p)
-        trace, top, cross = _cho_solve_scalars(suite, eig, form, divisor_value(n, p, divisor))
+        trace, top, cross = _cho_solve_scalars(suite, eig, form, divisor_value(n, p))
         # trace batches of p + 1 columns and tiles of p + 2 rows and
         # columns: p^2 = (p + 1)(p - 1) + 1 = (p + 2)(p - 2) + 4, so for
         # p > 2 the last batch and the last tile are ragged
         monkeypatch.setattr(asymptotics, "_TRACE_BATCH_ENTRIES", (p + 1) * p * p)
         monkeypatch.setattr(asymptotics, "_TILE", p + 2)
-        asym = build_asymptotics(suite, eig, n, divisor, form)
+        asym = build_asymptotics(suite, eig, n, form)
         # measured worst over these cases at 1 and 2 BLAS threads: 8.0e-13
         assert asym.cov_trace == pytest.approx(trace, rel=1e-12)
         assert asym.top_variance == pytest.approx(top, rel=1e-12)

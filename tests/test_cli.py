@@ -3,12 +3,14 @@
 import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from bnsparsity import Dataset, asymptotics, max_parents_test, read_csv, sparsity, write_csv
+from bnsparsity import Dataset, asymptotics, read_csv, write_csv
 from bnsparsity import cli
 from bnsparsity.cli import main, run
 from conftest import chain_dag
@@ -256,22 +258,6 @@ class TestFitTreeAndCompare:
         assert "at most 4294967295 permutation iterations" in capsys.readouterr().err
 
 
-class TestGapTolerance:
-    def test_large_tolerance_skips_bias_terms(self, tmp_path):
-        csv = make_tree_csv(tmp_path / "tree.csv", None)
-        data = read_csv(csv)
-        default = max_parents_test(data)
-        wide = max_parents_test(data, gap_tolerance=100.0)
-        assert not default.gap_warning and wide.gap_warning
-        assert default.c_hat != 0.0 and wide.c_hat == 0.0
-
-        json_path = tmp_path / "wide.json"
-        assert run_cli("test", str(csv), "--gap-tol", "100", "--json-out", str(json_path)) == 0
-        assert json.loads(json_path.read_text()) == wide.to_dict()
-        manifest = json.loads((tmp_path / "wide.manifest.json").read_text())
-        assert manifest["parameters"]["gap_tol"] == 100.0
-
-
 class TestManifests:
     def test_every_artifact_has_a_manifest_of_every_option(self, tmp_path):
         csv = tmp_path / "d.csv"
@@ -297,7 +283,7 @@ class TestManifests:
         params = json.loads((tmp_path / "sim1_manifest.json").read_text())["parameters"]
         assert params["threads"] == 1 and params["replicates"] == 50
         assert params["n"] == [25] and params["models"] == "A"
-        assert params["divisor"] == "nminusp" and params["form"] == "conservative"
+        assert "divisor" not in params and params["form"] == "conservative"
 
     def test_replay_from_manifest_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
@@ -314,6 +300,40 @@ class TestManifests:
         assert run(argparse.Namespace(**dict(params, out_dir=str(second)))) == 0
         for name in ("d.csv", "d.edges", "sim1_report.csv", "sim1_report.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_earlier_manifest_with_the_fixed_values_replays(self, tmp_path):
+        # manifests written while the divisor and the gap tolerance were
+        # options hold their defaults, which are the rules now fixed
+        csv = make_tree_csv(tmp_path / "d.csv", None)
+        assert run_cli("test", str(csv), "--json-out", str(tmp_path / "first.json")) == 0
+        params = json.loads((tmp_path / "first.manifest.json").read_text())["parameters"]
+        earlier = dict(params, divisor="nminusp", gap_tol=None,
+                       json_out=str(tmp_path / "second.json"))
+        assert run(argparse.Namespace(**earlier)) == 0
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+        replayed = json.loads((tmp_path / "second.manifest.json").read_text())["parameters"]
+        assert replayed == dict(params, json_out=str(tmp_path / "second.json"))
+
+    @pytest.mark.parametrize("argv, removed, flag", [
+        (["test", "d.csv", "--json-out", "r.json"], dict(divisor="n"), "--divisor"),
+        (["test", "d.csv", "--json-out", "r.json"], dict(gap_tol=100.0), "--gap-tol"),
+        (["reproduce", "--table", "sim1", "--out-dir", "r"], dict(divisor="n"), "--divisor"),
+    ], ids=["test-divisor", "test-gap-tol", "reproduce-divisor"])
+    def test_earlier_manifest_with_another_value_is_refused(
+        self, tmp_path, capsys, monkeypatch, argv, removed, flag
+    ):
+        # the namespace of an earlier version's manifest that set a removed
+        # option: replaying it without the option would give another artifact
+        monkeypatch.chdir(tmp_path)
+        make_tree_csv(tmp_path / "d.csv", None)
+        args = cli.build_parser().parse_args(argv)
+        vars(args).update(removed)
+        capsys.readouterr()
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} was removed: ")
+        assert captured.out == ""
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "r").exists()
 
 
 def _bad_input(tmp_path, kind):
@@ -341,10 +361,6 @@ def _bad_input(tmp_path, kind):
                                         "--out-dir", str(tmp_path)],
             "negative-seed-compare": ["compare", str(path), str(path), "--M", "99"],
         }[kind] + ["--seed", "-1"]
-    if kind.startswith("gap-tol"):
-        write_csv(Dataset(values=np.random.default_rng(0).standard_normal((40, 6))), path)
-        value = {"gap-tol-nan": "nan", "gap-tol-negative": "-1", "gap-tol-inf": "inf"}[kind]
-        return ["test", str(path), "--gap-tol", value]
     # second moments that overflow, or that underflow below the smallest
     # normal double
     moment, command = kind.split("-", 1)
@@ -365,19 +381,9 @@ def _bad_input(tmp_path, kind):
     "underflow160-test", "underflow160-fit-tree", "underflow160-compare",
     "underflow200-test", "underflow200-fit-tree", "underflow200-compare",
     "negative-seed-simulate", "negative-seed-reproduce", "negative-seed-compare",
-    "gap-tol-nan", "gap-tol-negative", "gap-tol-inf",
 ])
-def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, kind):
+def test_bad_input_is_a_typed_error(tmp_path, capsys, kind):
     argv = _bad_input(tmp_path, kind)
-    # a bad gap tolerance is refused on entry, before the dense asymptotics
-    asymptotics_calls = []
-    real = sparsity.build_asymptotics
-
-    def spy(*args, **kwargs):
-        asymptotics_calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sparsity, "build_asymptotics", spy)
     capsys.readouterr()
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
@@ -385,8 +391,26 @@ def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, kind):
     assert "Traceback" not in captured.err and captured.out == ""
     if kind.startswith("underflow"):
         assert "data too small" in captured.err
-    if kind.startswith("gap-tol"):
-        assert asymptotics_calls == []
+
+
+def test_readme_command_line_flags_are_options():
+    # every --flag in the README's "Command line" block is an option of the
+    # subcommand on its line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    checked = 0
+    for line in block.splitlines():
+        words = line.split()
+        if "bnsparsity" not in words:
+            continue
+        options = commands[words[words.index("bnsparsity") + 1]]._option_string_actions
+        for flag in re.findall(r"--[\w-]+", line):
+            assert flag in options, line
+            checked += 1
+    assert checked >= 20
 
 
 def test_dimension_over_the_cap_is_a_typed_error(tmp_path, capsys, monkeypatch):

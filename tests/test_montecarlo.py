@@ -176,8 +176,8 @@ class TestThreads:
 
 class TestOptionsCheckedOnEntry:
     POWER = dict(replicates_per_graph=50, seed=1, n_values=(12,), p=8)
-    BAD = [dict(alpha=1.5), dict(alpha=-1), dict(form="bogus"), dict(divisor="bogus"),
-           dict(seed=-1), dict(n_values=(0,)), dict(n_values=(12, -3)), dict(n_values=())]
+    BAD = [dict(alpha=1.5), dict(alpha=-1), dict(form="bogus"), dict(seed=-1),
+           dict(n_values=(0,)), dict(n_values=(12, -3)), dict(n_values=())]
     # p = 8 in both runners
     TOO_SMALL = [dict(n_values=(8,)), dict(n_values=(12, 3))]
 
