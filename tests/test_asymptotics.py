@@ -362,9 +362,11 @@ class TestInPlacePropagator:
         assert np.array_equal(jac, normalization_jacobian(suite, transpose))
 
     @pytest.mark.parametrize("form", PROPAGATOR_FORMS)
+    @pytest.mark.parametrize("rows", ["3p+20", "10p+50"])
     @pytest.mark.parametrize("p", [2, 5, 7, 12, 20, 37])
-    def test_scalars_match_the_cho_solve_propagator(self, monkeypatch, form, p):
-        suite, eig, n = _suite_and_eig(p)
+    def test_scalars_match_the_cho_solve_propagator(self, monkeypatch, form, rows, p):
+        # two sample sizes: another draw of the data and another divisor n - p
+        suite, eig, n = _suite_and_eig(p, n=3 * p + 20 if rows == "3p+20" else 10 * p + 50)
         trace, top, cross = _cho_solve_scalars(suite, eig, form, divisor_value(n, p))
         # trace batches of p + 1 columns and tiles of p + 2 rows and
         # columns: p^2 = (p + 1)(p - 1) + 1 = (p + 2)(p - 2) + 4, so for

@@ -336,6 +336,23 @@ class TestManifests:
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["test", "d.csv", "--divisor", "n"], "--divisor n"),
+    (["test", "d.csv", "--gap-tol", "100"], "--gap-tol 100"),
+    (["reproduce", "--table", "sim1", "--divisor", "n", "--out-dir", "r"], "--divisor n"),
+], ids=["test-divisor", "test-gap-tol", "reproduce-divisor"])
+def test_removed_flags_are_refused_on_the_command_line(tmp_path, capsys, monkeypatch, argv, flag):
+    # the parser refuses them (exit 2) before any file is read or written
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 def _bad_input(tmp_path, kind):
     """A command line that must fail with a typed error."""
     path = tmp_path / "bad.csv"

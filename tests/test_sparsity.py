@@ -222,6 +222,25 @@ class TestCorrectedTopEigenvalue:
         kept, _ = bias_term(eig, cov, gap_tolerance=0.0)
         assert abs(kept - bias) > 1e4
 
+    @pytest.mark.parametrize("p", [3, 8, 40])
+    def test_gap_threshold_scales_with_p(self, p):
+        # a top gap of 0.75e-6 p is skipped and one of 1.25e-6 p is kept,
+        # at every p; a flat 1e-6 would keep both for p >= 2
+        rng = np.random.default_rng(p)
+        values = np.concatenate([[2.0, 2.0 - 0.75e-6 * p, 2.0 - 1.25e-6 * p],
+                                 np.linspace(1.0, 0.5, p - 3)])
+        eig = _plain_eigensystem(values)
+        a = rng.standard_normal((p * p, p * p))
+        cov = a @ a.T / (p * p)
+        shr = _synthetic_shrinkage(0.25, eig)
+        out = corrected_top_eigenvalue(eig, shr, _dense_scalars(eig, cov))
+        skipped_one, warned = bias_term(eig, cov, gap_tolerance=1e-6 * p)
+        assert out.gap_warning and warned
+        assert out.bias == pytest.approx(skipped_one, rel=1e-12)
+        kept_both, _ = bias_term(eig, cov, gap_tolerance=1e-6)
+        skipped_both, _ = bias_term(eig, cov, gap_tolerance=1.5e-6 * p)
+        assert abs(kept_both - out.bias) > 1e3 and abs(skipped_both - out.bias) > 1e3
+
     def test_affine_consistency(self, rng):
         for _ in range(30):
             suite, data = random_suite(rng, p=4, n=90)
