@@ -13,12 +13,15 @@ stand-in with the same pairing and invariance structure, isolated here so it
 can be swapped.
 
 A tree's total weight does not depend on how ties break, so the test never
-fits trees: it takes both groups' cross-products under every swap from one
-matrix product per chunk of permutations (they are linear in the swap
-vector), and totals the maximum spanning forests of a batch of several
-chunks with one dense Prim, in a working set that does not grow with the
-number of permutations. ``chow_liu``, whose tie rule names edges, fits
-single trees and is the test's oracle.
+fits trees: both groups' cross-products are linear in the swap vector. At
+small p (p <= 22 at n = 500) each row pair's change to them is precomputed,
+and a batch of permutations takes one product with that matrix, n p(p+1)
+flops a permutation; at larger p each chunk of permutations takes one
+product of swap-scaled rows, 2 n p^2 flops a permutation. One dense Prim
+totals the maximum spanning forests of the batch. The working set is
+allocated once per call and does not grow with the number of permutations.
+``chow_liu``, whose tie rule names edges, fits single trees and is the
+test's oracle.
 
 Permutation i swaps the rows where ``default_rng(child).random(n) < 0.5``
 for child i of ``SeedSequence(seed).spawn(M)``. Those bits are derived
@@ -176,9 +179,11 @@ class PermutationTestResult(Record):
     permutation_statistics: list[float]
 
 
-# Bytes of swap-scaled rows one product chunk may hold, and the most
-# permutations one product takes. A 2 MB budget was no faster and raised the
-# peak RSS by another 1.3 MB.
+# Bytes of the product operand: the n x p(p+1)/2 pair products where they
+# fit (p <= 22 at n = 500), else the swap-scaled rows of one product chunk.
+# A chunk takes at most _MAX_CHUNK permutations; it is also the block of the
+# mean products. A 2 MB budget was no faster and raised the peak RSS by
+# another 1.3 MB.
 _PRODUCT_BYTES = 1 << 20
 _MAX_CHUNK = 64
 # Bytes of one forest batch: both groups' (p, p) weights and the float swap
@@ -229,23 +234,29 @@ def _forest_totals(weights: np.ndarray) -> np.ndarray:
 
 
 def _batch_mutual_information(
-    cross: np.ndarray, sums: np.ndarray, n: int, constant: np.ndarray, block: int
+    cross: np.ndarray, sums: np.ndarray, n: int, constant: np.ndarray, mean_products: np.ndarray
 ) -> None:
     """Overwrite cross-products (k, p, p), with column sums (k, p), of n
     rows about a common centre by their Gaussian mutual information weights,
     with a zero diagonal. Columns marked ``constant`` (k, p), or left with
-    no positive variance by rounding, get zero weights. The mean products
-    are taken ``block`` slices at a time, so no temporary is as large as
-    the batch."""
-    mean = sums / n
+    no positive variance by rounding, get zero weights. ``sums`` and
+    ``constant`` are overwritten too. The mean products are taken in the
+    (block, p, p) buffer ``mean_products``, block slices at a time, so no
+    temporary is as large as the batch."""
+    mean = sums
+    mean /= n
     cov = cross
     cov /= n
+    block = len(mean_products)
     for lo in range(0, len(cov), block):
         part = mean[lo : lo + block]
-        cov[lo : lo + block] -= part[:, :, None] * part[:, None, :]
+        outer = np.multiply(part[:, :, None], part[:, None, :], out=mean_products[: len(part)])
+        cov[lo : lo + block] -= outer
     var = cov.diagonal(axis1=1, axis2=2)
-    usable = ~constant & (var > 0.0)
-    scale = np.zeros_like(var)
+    usable = np.logical_not(constant, out=constant)
+    np.greater(var, 0.0, out=usable, where=usable)
+    scale = mean
+    scale.fill(0.0)
     np.sqrt(var, out=scale, where=usable)
     np.divide(1.0, scale, out=scale, where=usable)
     corr = cov
@@ -259,21 +270,49 @@ def _batch_mutual_information(
     corr *= -0.5
 
 
+def _pair_products(delta: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, p(p+1)/2) matrix whose row i is the upper triangle, row by
+    row, of (delta_i sigma_i' + sigma_i delta_i') / 2, and the index of each
+    of the p^2 entries of a symmetric (p, p) matrix in that triangle."""
+    n, p = delta.shape
+    width = p * (p + 1) // 2
+    pairs = np.empty((n, width))
+    lo = 0
+    for i in range(p):
+        part = pairs[:, lo : lo + p - i]
+        np.multiply(delta[:, i, None], sigma[:, i:], out=part)
+        part += sigma[:, i, None] * delta[:, i:]
+        lo += p - i
+    pairs *= 0.5
+    index = np.empty((p, p), dtype=np.intp)
+    rows, cols = np.triu_indices(p)
+    index[rows, cols] = index[cols, rows] = np.arange(width)
+    return pairs, index.ravel()
+
+
 class _SwapLinearMoments:
     """Cross-products and column sums of both groups under any row swap.
 
     With both groups centred by the pooled column mean (which swaps do not
     move), Delta = B - A and Sigma = B + A, swapping the rows marked by s
     gives group A the cross-products
-    ``A'A + (Delta' diag(s) Sigma + its transpose) / 2`` and the column sums
-    ``sum(A) + s Delta``; group B has the fixed totals minus those. A column
-    can become constant only if every row pair holds a common value v (the
-    value in row 0 of either group); its rows that differ from v are counted
-    exactly, also linear in s.
+    ``A'A + (Delta' diag(s) Sigma + its transpose) / 2 = A'A + s P``, where
+    row i of P is the upper triangle of b_i b_i' - a_i a_i', and the column
+    sums ``sum(A) + s Delta``; group B has the fixed totals minus those. A
+    column can become constant only if every row pair holds a common value
+    v (the value in row 0 of either group); its rows that differ from v are
+    counted exactly, also linear in s.
+
+    Where P fits ``_PRODUCT_BYTES`` it is built once, and a batch's
+    cross-products take one (k, n) x (n, p(p+1)/2) product, n p(p+1) flops
+    a permutation. Otherwise each chunk of permutations scales Delta's rows
+    and takes a (chunk p, n) x (n, p) product, 2 n p^2 flops a permutation.
+    The swap matrix, weights, sums and every other per-batch array are
+    allocated here, once, for the largest batch.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
-        self.n, self.p = a.shape
+        self.n, self.p = n, p = a.shape
         with np.errstate(over="ignore", invalid="ignore"):
             centre = a.mean(axis=0) / 2 + b.mean(axis=0) / 2
             a_c = a - centre
@@ -281,11 +320,13 @@ class _SwapLinearMoments:
             finite_second_moments(
                 np.einsum("ij,ij->j", a_c, a_c) + np.einsum("ij,ij->j", b_c, b_c)
             )
-        self.delta_t = np.ascontiguousarray((b_c - a_c).T)
-        self.sigma = b_c + a_c
         self.cross_a = a_c.T @ a_c
         self.cross_total = self.cross_a + b_c.T @ b_c
         self.sum_a = a_c.sum(axis=0)
+        # Sigma overwrites B, so that at most three (n, p) arrays are live
+        self.delta_t = np.subtract(b_c.T, a_c.T, order="C")
+        sigma = np.add(b_c, a_c, out=b_c)
+        del a_c
 
         candidates = np.stack([a[0], b[0]])[:, None, :]
         miss_a = a[None] != candidates
@@ -297,43 +338,66 @@ class _SwapLinearMoments:
         self.miss_b = miss_b.sum(axis=1)
         self.miss_shift = (miss_b.astype(float) - miss_a).T
 
-    def _constant(self, misses: np.ndarray) -> np.ndarray:
-        constant = np.zeros((len(misses), self.p), dtype=bool)
+        # a batch is whole chunks on either path, so that both paths lay the
+        # permutations out alike
+        self.chunk = max(1, min(_MAX_CHUNK, _PRODUCT_BYTES // (8 * n * p)))
+        self.batch = self.chunk * max(1, _FOREST_BYTES // (self.chunk * 8 * (2 * p * p + n)))
+        width = p * (p + 1) // 2
+        if 8 * n * width <= _PRODUCT_BYTES:
+            self.pairs, self.pair_index = _pair_products(self.delta_t.T, sigma)
+            self.packed = np.empty((self.batch, width))
+        else:
+            self.pairs = None
+            self.sigma = sigma
+            self.scaled = np.empty((self.chunk, p, n))
+        self.swaps = np.empty((self.batch, n))
+        # group A's weights in the first half, group B's in the second, which
+        # on the chunked path first holds the raw products
+        self.weights = np.empty((2 * self.batch, p, p))
+        self.sums = np.empty((2 * self.batch, p))
+        self.constant = np.empty((2 * self.batch, p), dtype=bool)
+        self.mean_products = np.empty((self.chunk, p, p))
+
+    def _constant(self, swaps: np.ndarray) -> np.ndarray:
+        constant = self.constant[: 2 * len(swaps)]
+        constant.fill(False)
+        shift = swaps @ self.miss_shift
+        misses = np.concatenate([self.miss_a + shift, self.miss_b - shift])
         np.logical_or.at(constant, (slice(None), self.constant_cols), misses == 0.0)
         return constant
 
-    def statistics(self, swaps: np.ndarray, chunk: int) -> np.ndarray:
+    def statistics(self, swaps: np.ndarray) -> np.ndarray:
         """Sum of the two groups' forest totals for each row of the (k, n)
-        0/1 ``swaps``: ``chunk`` rows per matrix product, then mutual
-        information and Prim once over the whole batch, in one (2k, p, p)
-        buffer."""
-        k, n, p = len(swaps), self.n, self.p
-        # group A's weights in the first half, group B's in the second, which
-        # first holds the raw products
-        weights = np.empty((2 * k, p, p))
+        0/1 ``swaps``, k at most ``batch``: one pair product for the batch,
+        or one product per chunk of rows, then mutual information and Prim
+        once over the whole batch."""
+        k, n, p, chunk = len(swaps), self.n, self.p, self.chunk
+        weights = self.weights[: 2 * k]
         cross_a, cross_b = weights[:k], weights[k:]
-        sums = np.empty((2 * k, p))
+        sums = self.sums[: 2 * k]
         sums_a, sums_b = sums[:k], sums[k:]
-        scaled = np.empty((min(chunk, k), p, n))
-        # products of the same shapes whatever k is, so that a permutation's
-        # score does not depend on the batch it falls in
-        for lo in range(0, k, chunk):
-            rows = swaps[lo : lo + chunk]
-            part = scaled[: len(rows)]
-            np.multiply(rows[:, None, :], self.delta_t, out=part)
-            out = cross_b[lo : lo + chunk].reshape(-1, p)
-            np.matmul(part.reshape(-1, n), self.sigma, out=out)
-            np.matmul(rows, self.delta_t.T, out=sums_a[lo : lo + chunk])
-        del scaled, part  # before the temporaries of the mean products
-        np.add(cross_b, cross_b.transpose(0, 2, 1), out=cross_a)
-        cross_a *= 0.5
+        if self.pairs is not None:
+            packed = np.matmul(swaps, self.pairs, out=self.packed[:k])
+            np.take(packed, self.pair_index, axis=1, out=cross_a.reshape(k, p * p), mode="clip")
+            np.matmul(swaps, self.delta_t.T, out=sums_a)
+        else:
+            # products of the same shapes whatever k is, so that a
+            # permutation's score does not depend on the batch it falls in
+            for lo in range(0, k, chunk):
+                rows = swaps[lo : lo + chunk]
+                part = self.scaled[: len(rows)]
+                np.multiply(rows[:, None, :], self.delta_t, out=part)
+                out = cross_b[lo : lo + chunk].reshape(-1, p)
+                np.matmul(part.reshape(-1, n), self.sigma, out=out)
+                np.matmul(rows, self.delta_t.T, out=sums_a[lo : lo + chunk])
+            np.add(cross_b, cross_b.transpose(0, 2, 1), out=cross_a)
+            cross_a *= 0.5
         cross_a += self.cross_a
         np.subtract(self.cross_total, cross_a, out=cross_b)
         sums_a += self.sum_a
         np.negative(sums_a, out=sums_b)
-        shift = swaps @ self.miss_shift
-        constant = self._constant(np.concatenate([self.miss_a + shift, self.miss_b - shift]))
-        _batch_mutual_information(weights, sums, n, constant, chunk)
+        constant = self._constant(swaps)
+        _batch_mutual_information(weights, sums, n, constant, self.mean_products)
         totals = _forest_totals(weights)
         return totals[:k] + totals[k:]
 
@@ -383,8 +447,10 @@ def _child_states(entropy: int, lo: int, hi: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _swap_vectors(n: int, m_iterations: int, seed: int | None, batch: int):
-    """(k, n) float 0/1 swap matrices of at most ``batch`` rows: in order,
+def _swap_vectors(m_iterations: int, seed: int | None, out: np.ndarray):
+    """(k, n) float 0/1 swap matrices, each written into the first k rows
+    of the (batch, n) buffer ``out`` and yielded as a view of it, so a
+    batch is overwritten by the next: in order,
     the all-zero swap (the observed data), then for each child of
     ``SeedSequence(seed).spawn(m_iterations)`` the draw
     ``default_rng(child).random(n) < 0.5``, bit for bit.
@@ -396,6 +462,7 @@ def _swap_vectors(n: int, m_iterations: int, seed: int | None, batch: int):
     is below 2**63. Each batch's raw outputs are written into its swap
     matrix and compared there in place.
     """
+    batch, n = out.shape
     entropy = int(np.random.SeedSequence(seed).entropy)
     bitgen = np.random.PCG64(0)
     lcg = {}
@@ -414,7 +481,7 @@ def _swap_vectors(n: int, m_iterations: int, seed: int | None, batch: int):
 
     draws = raw_draws()
     for lo in range(0, m_iterations + 1, batch):
-        swaps = np.empty((min(batch, m_iterations + 1 - lo), n))
+        swaps = out[: min(batch, m_iterations + 1 - lo)]
         raw = swaps.view(np.uint64)
         for row in raw:
             row[:] = next(draws)
@@ -431,28 +498,35 @@ def paired_permutation_equality(
 ) -> PermutationTestResult:
     """Permutation test for equality of two paired networks.
 
-    Rows of the two datasets are paired by index. The statistic is the sum
-    of the two fitted-tree scores; each permutation independently swaps each
-    row pair with probability one half and rescores. The p-value can never
-    be 0 (add-one rule) and is 1 when the inputs are identical. Fixed seed
-    gives an identical result; iteration seeds are derived independently,
-    so iterations may be evaluated in any order. Permutation i swaps the
-    rows where ``default_rng(child_i).random(n) < 0.5``, for the children
-    of ``SeedSequence(seed).spawn(m_iterations)``; M is below 2**32.
+    Rows of the two datasets are paired by index, and columns by position:
+    two datasets that both carry variable names must carry the same names
+    in the same order (two CSV files must share one header), or an
+    :class:`InputError` names the first column that differs. The statistic
+    is the sum of the two fitted-tree scores; each permutation independently
+    swaps each row pair with probability one half and rescores. The p-value
+    can never be 0 (add-one rule) and is 1 when the inputs are identical.
+    Fixed seed gives an identical result; iteration seeds are derived
+    independently, so iterations may be evaluated in any order. Permutation
+    i swaps the rows where ``default_rng(child_i).random(n) < 0.5``, for
+    the children of ``SeedSequence(seed).spawn(m_iterations)``; M is below
+    2**32.
 
     A tree score is the total weight of a maximum spanning forest, which
     does not depend on how ties break, so no tree is fitted: swap-linear
-    moments give both groups' cross-products for a chunk of permutations
-    in one matrix product, written into a buffer that holds a batch of
-    several chunks, and one batched dense Prim totals the batch's forests.
-    The observed statistic is the all-zero swap. Per permutation this costs
-    about 2 n p^2 flops plus O(p^2) for Prim, whose p - 1 steps are shared
-    by the batch, plus its draw: the children's seeds are hashed a block
-    at a time and one reused PCG64 gives the same bits as a generator per
-    child at under a third of the cost of ``default_rng`` (n = 500). The
-    working set (1 MB of scaled rows, 1 MB of weights and swaps) does not
-    grow with M. The moments are taken about the pooled mean, so their
-    rounding error scales with the pooled variance: scores match
+    moments give both groups' cross-products for a batch of permutations,
+    and one batched dense Prim totals the batch's forests. The observed
+    statistic is the all-zero swap. Where the n x p(p+1)/2 matrix of every
+    row pair's cross-product change fits in 1 MB (p <= 22 at n = 500), it
+    is built once and a batch takes one product with it: n p(p+1) flops a
+    permutation. Above that, each chunk of permutations takes one product
+    of swap-scaled rows: 2 n p^2 flops a permutation. Prim adds O(p^2),
+    its p - 1 steps shared by the batch, and the draw: the children's
+    seeds are hashed a block at a time and one reused PCG64 gives the same
+    bits as a generator per child at under a third of the cost of
+    ``default_rng`` (n = 500). The working set (1 MB of pair products or
+    of scaled rows, 1 MB of weights and swaps) is allocated once per call
+    and does not grow with M. The moments are taken about the pooled mean,
+    so their rounding error scales with the pooled variance: scores match
     ``chow_liu`` refits to about 1e-14 relative unless one group's column
     variance is orders of magnitude below the pooled one (heavy tails,
     outliers). A column that a swap makes constant is left isolated; a
@@ -463,6 +537,13 @@ def paired_permutation_equality(
             f"paired datasets must have identical shape, got "
             f"{data_a.values.shape} and {data_b.values.shape}"
         )
+    if data_a.variable_names is not None and data_b.variable_names is not None:
+        for column, (name_a, name_b) in enumerate(zip(data_a.names(), data_b.names()), 1):
+            if name_a != name_b:
+                raise InputError(
+                    f"paired datasets must share one header: column {column} is "
+                    f"{name_a!r} in the first and {name_b!r} in the second"
+                )
     m_iterations = int(m_iterations)
     if m_iterations < 99:
         raise InputError(f"need at least 99 permutation iterations, got {m_iterations}")
@@ -476,12 +557,9 @@ def paired_permutation_equality(
         _checked_centering(data)
 
     moments = _SwapLinearMoments(data_a.values, data_b.values)
-    n, p = moments.n, moments.p
-    chunk = max(1, min(_MAX_CHUNK, _PRODUCT_BYTES // (8 * n * p)))
-    batch = chunk * max(1, _FOREST_BYTES // (chunk * 8 * (2 * p * p + n)))
     scores = []
-    for swaps in _swap_vectors(n, m_iterations, seed, batch):
-        scores.extend(moments.statistics(swaps, chunk).tolist())
+    for swaps in _swap_vectors(m_iterations, seed, moments.swaps):
+        scores.extend(moments.statistics(swaps).tolist())
     observed, permuted = scores[0], np.array(scores[1:])
     exceed = int(np.count_nonzero(permuted >= observed))
     return PermutationTestResult(

@@ -252,6 +252,23 @@ class TestFitTreeAndCompare:
         write_csv(Dataset(values=np.random.default_rng(3).standard_normal((10, 4))), path)
         assert run_cli("compare", str(a), str(path), "--M", "99") == 2
 
+    def test_mismatched_headers_exit_code(self, tmp_path, capsys):
+        # the same variables in reversed column order are not paired by
+        # position
+        a = self._chain_csv(tmp_path / "a.csv", 1)
+        data = read_csv(a)
+        reversed_path = tmp_path / "reversed.csv"
+        write_csv(Dataset(values=data.values[:, ::-1], variable_names=data.names()[::-1]),
+                  reversed_path)
+        capsys.readouterr()
+        assert run_cli("compare", str(a), str(reversed_path), "--M", "99", "--seed", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: paired datasets must share one header: column 1 is 'x1' in the "
+            "first and 'x10' in the second\n"
+        )
+
     def test_too_many_iterations_exit_code(self, tmp_path, capsys):
         a = self._chain_csv(tmp_path / "a.csv", 1)
         assert run_cli("compare", str(a), str(a), "--M", str(2**32)) == 2

@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,15 +105,40 @@ def explicit_swap_permutation(data_a, data_b, m_iterations, seed):
     return observed, permuted, (1 + exceed) / (m_iterations + 1)
 
 
-def assert_matches_explicit_swaps(data_a, data_b, m_iterations, seed, rtol=1e-12):
-    result = paired_permutation_equality(data_a, data_b, m_iterations=m_iterations, seed=seed)
+def product_budgets(n, p):
+    """``trees._PRODUCT_BYTES`` values that put an n x p pair on the pair
+    path (the n x p(p+1)/2 pair products just fit) and on the chunked path."""
+    pair_bytes = 8 * n * p * (p + 1) // 2
+    return {"pairs": pair_bytes, "chunked": pair_bytes - 1}
+
+
+def assert_matches_explicit_swaps(
+    data_a, data_b, m_iterations, seed, rtol=1e-12, path_rtol=1e-13
+):
+    """Run the test on each product path; each must match the explicit-swap
+    oracle within ``rtol`` and the other path within ``path_rtol``, with the
+    oracle's p-value. Returns the pair path's result."""
     observed, permuted, p_value = explicit_swap_permutation(
         data_a, data_b, m_iterations, seed
     )
-    np.testing.assert_allclose(result.observed_statistic, observed, rtol=rtol, atol=0.0)
-    np.testing.assert_allclose(result.permutation_statistics, permuted, rtol=rtol, atol=0.0)
-    assert result.p_value == p_value
-    return result
+    results = []
+    for budget in product_budgets(*data_a.values.shape).values():
+        with mock.patch.object(trees, "_PRODUCT_BYTES", budget):
+            result = paired_permutation_equality(
+                data_a, data_b, m_iterations=m_iterations, seed=seed
+            )
+        np.testing.assert_allclose(result.observed_statistic, observed, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(result.permutation_statistics, permuted, rtol=rtol, atol=0.0)
+        assert result.p_value == p_value
+        results.append(result)
+    pairs, chunked = results
+    np.testing.assert_allclose(
+        pairs.observed_statistic, chunked.observed_statistic, rtol=path_rtol, atol=0.0
+    )
+    np.testing.assert_allclose(
+        pairs.permutation_statistics, chunked.permutation_statistics, rtol=path_rtol, atol=0.0
+    )
+    return pairs
 
 
 # one, two and seven entropy words, and the largest of one word
@@ -140,7 +166,12 @@ class TestSwapDraws:
     @pytest.mark.parametrize("seed", DRAW_SEEDS)
     def test_swap_vectors_match_explicit_swaps(self, seed, m_iterations, batch):
         n = 37
-        batches = list(trees._swap_vectors(n, m_iterations, seed, batch))
+        out = np.empty((batch, n))
+        batches = []
+        for swaps in trees._swap_vectors(m_iterations, seed, out):
+            # each batch is the head of the one buffer, which the next overwrites
+            assert swaps.base is out and swaps.ctypes.data == out.ctypes.data
+            batches.append(swaps.copy())
         assert [len(swaps) for swaps in batches[:-1]] == [batch] * (len(batches) - 1)
         swaps = np.concatenate(batches)
         expected = np.array([np.zeros(n, dtype=bool), *explicit_swaps(n, m_iterations, seed)])
@@ -280,6 +311,24 @@ class TestPairedPermutation:
         with pytest.raises(InputError):
             paired_permutation_equality(a, b)
 
+    def test_named_columns_must_match(self, rng):
+        # the same four variables in reversed column order would otherwise be
+        # paired by position
+        values = rng.standard_normal((30, 4))
+        names = ["w", "x", "y", "z"]
+        a = Dataset(values=values, variable_names=names)
+        b = Dataset(values=values[:, ::-1], variable_names=names[::-1])
+        with pytest.raises(InputError, match="column 1 is 'w' in the first and 'z' in the second"):
+            paired_permutation_equality(a, b, m_iterations=99, seed=0)
+        renamed = Dataset(values=values, variable_names=["w", "x", "y", "v"])
+        with pytest.raises(InputError, match="column 4 is 'z' in the first and 'v'"):
+            paired_permutation_equality(a, renamed, m_iterations=99, seed=0)
+        # names on one side only, or equal names, pair by position as before
+        unnamed = Dataset(values=values[:, ::-1])
+        same = Dataset(values=values[:, ::-1], variable_names=names)
+        for other in (unnamed, same):
+            assert paired_permutation_equality(a, other, m_iterations=99, seed=0).p_value < 1.0
+
     def test_minimum_iterations(self, rng):
         a = Dataset(values=rng.standard_normal((30, 4)))
         with pytest.raises(InputError):
@@ -336,14 +385,16 @@ class TestPairedPermutation:
             paired_permutation_equality(a, b, m_iterations=99)
 
     @pytest.mark.parametrize(
-        "kind, p, n, m_iterations, seed, rtol",
-        [pytest.param("A", p, 500, 99, p, 1e-12, id=str(p)) for p in (5, 20, 40, 60)]
+        "kind, p, n, m_iterations, seed, rtol, path_rtol",
+        [pytest.param("A", p, 500, 99, p, 1e-12, 1e-13, id=str(p)) for p in (5, 20, 40, 60)]
         # Cauchy errors: a swap that moves an outlier leaves one group's
         # column variance far below the pooled one, and the pooled-mean
-        # moments lose digits there. This pair reaches 3.0e-9 relative.
-        + [pytest.param("C", 8, 100, 199, 5, 1e-8, id="cauchy-8")],
+        # moments lose digits there. This pair reaches 3.0e-9 relative on
+        # either product path, and the paths, which round differently,
+        # differ by up to 1.3e-9.
+        + [pytest.param("C", 8, 100, 199, 5, 1e-8, 1e-8, id="cauchy-8")],
     )
-    def test_matches_explicit_swap_oracle(self, kind, p, n, m_iterations, seed, rtol):
+    def test_matches_explicit_swap_oracle(self, kind, p, n, m_iterations, seed, rtol, path_rtol):
         # Gaussian cases first take the data of
         # test_bitwise_equal_to_sorted_union_find (two different networks);
         # every case then takes two samples of one network, for a p-value
@@ -351,49 +402,86 @@ class TestPairedPermutation:
         rng = np.random.default_rng(seed)
         if kind == "A":
             different = [sample_dataset(random_model(kind, p, d, rng=rng), n, rng=rng) for d in (2, 1)]
-            assert_matches_explicit_swaps(*different, m_iterations, seed=seed, rtol=rtol)
+            assert_matches_explicit_swaps(*different, m_iterations, seed, rtol, path_rtol)
         model = random_model(kind, p, 1, rng=rng)
         same = [sample_dataset(model, n, rng=rng) for _ in range(2)]
-        result = assert_matches_explicit_swaps(*same, m_iterations, seed=seed, rtol=rtol)
+        result = assert_matches_explicit_swaps(*same, m_iterations, seed, rtol, path_rtol)
         assert 0.01 < result.p_value < 1.0
 
     @pytest.mark.parametrize("m_iterations", [199, 1000])
     @pytest.mark.parametrize("p, n", [(10, 100), (60, 500)])
     def test_forest_batches_match_one_chunk_per_batch(self, monkeypatch, p, n, m_iterations):
-        # A forest batch holds several product chunks. With no forest budget
-        # each batch is one product chunk, one Prim per product. At p = 10
-        # the first layout scores M = 199 in one partial batch.
+        # On each product path. A forest batch holds several chunks. With no
+        # forest budget each batch is one chunk, one Prim per chunk. Chunks
+        # of at most 4 permutations keep several in a batch on both paths;
+        # then at p = 10 the first layout scores M = 199 in one partial batch.
         rng = np.random.default_rng(p)
         model = random_model("A", p, 1, rng=rng)
         data_a, data_b = (sample_dataset(model, n, rng=rng) for _ in range(2))
         statistics = trees._SwapLinearMoments.statistics
         calls = []
 
-        def spy(self, swaps, chunk):
-            calls.append((len(swaps), chunk))
-            return statistics(self, swaps, chunk)
+        def spy(self, swaps):
+            calls.append((len(swaps), self.chunk, self.pairs is not None))
+            return statistics(self, swaps)
 
         monkeypatch.setattr(trees._SwapLinearMoments, "statistics", spy)
-        batched = paired_permutation_equality(data_a, data_b, m_iterations, seed=p)
-        batch_sizes, chunk = [k for k, _ in calls], calls[0][1]
-        calls.clear()
-        monkeypatch.setattr(trees, "_FOREST_BYTES", 0)
-        chunked = paired_permutation_equality(data_a, data_b, m_iterations, seed=p)
+        monkeypatch.setattr(trees, "_MAX_CHUNK", 4)
+        for path, budget in product_budgets(n, p).items():
+            monkeypatch.setattr(trees, "_PRODUCT_BYTES", budget)
+            monkeypatch.setattr(trees, "_FOREST_BYTES", 1 << 20)
+            calls.clear()
+            batched = paired_permutation_equality(data_a, data_b, m_iterations, seed=p)
+            batch_sizes, chunk = [k for k, _, _ in calls], calls[0][1]
+            assert all(on_pairs == (path == "pairs") for _, _, on_pairs in calls)
+            calls.clear()
+            monkeypatch.setattr(trees, "_FOREST_BYTES", 0)
+            chunked = paired_permutation_equality(data_a, data_b, m_iterations, seed=p)
 
-        # whole product chunks per full batch, and a partial last batch
-        *full, last = batch_sizes
-        assert sum(batch_sizes) == m_iterations + 1 and batch_sizes[0] > chunk
-        assert all(k == full[0] and k % chunk == 0 for k in full)
-        assert (not full) == (p == 10 and m_iterations == 199)
-        assert not full or last < full[0]
-        assert all(k <= chunk for k, _ in calls) and len(calls) > len(batch_sizes)
-        np.testing.assert_allclose(
-            batched.observed_statistic, chunked.observed_statistic, rtol=1e-15, atol=0.0
-        )
-        np.testing.assert_allclose(
-            batched.permutation_statistics, chunked.permutation_statistics, rtol=1e-15, atol=0.0
-        )
-        assert batched.p_value == chunked.p_value
+            # whole chunks per full batch, and a partial last batch
+            *full, last = batch_sizes
+            assert sum(batch_sizes) == m_iterations + 1 and batch_sizes[0] > chunk
+            assert all(k == full[0] and k % chunk == 0 for k in full)
+            assert (not full) == (p == 10 and m_iterations == 199)
+            assert not full or last < full[0]
+            assert all(k <= chunk for k, _, _ in calls) and len(calls) > len(batch_sizes)
+            np.testing.assert_allclose(
+                batched.observed_statistic, chunked.observed_statistic, rtol=1e-15, atol=0.0
+            )
+            np.testing.assert_allclose(
+                batched.permutation_statistics, chunked.permutation_statistics,
+                rtol=1e-15, atol=0.0,
+            )
+            assert batched.p_value == chunked.p_value
+
+    @pytest.mark.parametrize("path", ["pairs", "chunked"])
+    def test_batches_reuse_one_working_set(self, monkeypatch, path):
+        # every full batch is drawn into the same swap matrix and scored in
+        # the same weights buffer, allocated once for the call
+        rng = np.random.default_rng(10)
+        model = random_model("A", 10, 1, rng=rng)
+        data_a, data_b = (sample_dataset(model, 100, rng=rng) for _ in range(2))
+        monkeypatch.setattr(trees, "_PRODUCT_BYTES", product_budgets(100, 10)[path])
+        statistics, forest_totals = trees._SwapLinearMoments.statistics, trees._forest_totals
+        calls, weights_seen = [], []
+
+        def spy(self, swaps):
+            calls.append((self, len(swaps), swaps.ctypes.data))
+            return statistics(self, swaps)
+
+        def forest_spy(weights):
+            weights_seen.append(weights.ctypes.data)
+            return forest_totals(weights)
+
+        monkeypatch.setattr(trees._SwapLinearMoments, "statistics", spy)
+        monkeypatch.setattr(trees, "_forest_totals", forest_spy)
+        paired_permutation_equality(data_a, data_b, m_iterations=999, seed=3)
+        (moments,) = {call[0] for call in calls}
+        assert (moments.pairs is not None) == (path == "pairs")
+        full = [call for call in calls if call[1] == moments.batch]
+        assert len(full) >= 2 and len(calls) == len(weights_seen)
+        assert {swaps for _, _, swaps in calls} == {moments.swaps.ctypes.data}
+        assert set(weights_seen) == {moments.weights.ctypes.data}
 
     def test_identical_inputs_match_explicit_swap_oracle(self, rng):
         values = rng.standard_normal((40, 5))
@@ -412,9 +500,10 @@ class TestPairedPermutation:
             warnings.simplefilter("always")
             assert_matches_explicit_swaps(data_a, data_b, 99, seed=4)
         constant = [w for w in caught if "'x3' is constant" in str(w.message)]
-        # once per dataset from the permutation test; the oracle's own
-        # refits warn inside a suppressing context
-        assert len(constant) == 2
+        # once per dataset from each of the two permutation tests, one per
+        # product path; the oracle's own refits warn inside a suppressing
+        # context
+        assert len(constant) == 4
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n, p, value, other", [(100, 5, 1.0, 0.0), (137, 3, 0.82, 2.43)])
@@ -444,21 +533,21 @@ class TestPairedPermutation:
 
     @pytest.mark.parametrize("m_iterations", [199, 999])
     def test_working_set_is_bounded(self, m_iterations):
-        # the swap-scaled rows of a product chunk and the weights of a forest
-        # batch are each held to 1 MB, so the peak (about 2.6 MB) does not
-        # grow with M; the n x p(p+1)/2 matrix of every row's
-        # cross-product change would need 7.3 MB on its own
-        rng = np.random.default_rng(60)
-        model = random_model("A", 60, 1, rng=rng)
-        data_a = sample_dataset(model, 500, rng=rng)
-        data_b = sample_dataset(model, 500, rng=rng)
-        tracemalloc.start()
-        try:
-            paired_permutation_equality(data_a, data_b, m_iterations=m_iterations, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3e6
+        # the pair products (p = 20) or the swap-scaled rows of a product
+        # chunk (p = 60), and the weights of a forest batch, are each held
+        # to 1 MB, so the peak (about 2.8 MB at p = 60) does not grow with M
+        for p in (20, 60):
+            rng = np.random.default_rng(p)
+            model = random_model("A", p, 1, rng=rng)
+            data_a = sample_dataset(model, 500, rng=rng)
+            data_b = sample_dataset(model, 500, rng=rng)
+            tracemalloc.start()
+            try:
+                paired_permutation_equality(data_a, data_b, m_iterations=m_iterations, seed=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3e6, p
 
     def test_null_calibration_light(self):
         # acceptance criterion 13 runs the 100-replicate version
