@@ -5,6 +5,8 @@ The CLI maps any raised ``BnSparsityError`` to its ``exit_code``:
 0 success, 2 input error, 3 numerical error, 4 insufficient sample.
 """
 
+from numbers import Integral
+
 
 class BnSparsityError(Exception):
     """Base class for all package errors."""
@@ -62,6 +64,11 @@ def check_alpha(alpha: float) -> None:
 
 
 def check_seed(seed: int | None) -> None:
-    """Refuse a negative seed; ``None`` stands for a fresh one."""
-    if seed is not None and seed < 0:
+    """Refuse a seed that is not a non-negative integer (Python's or
+    numpy's); ``None`` stands for a fresh one."""
+    if seed is None:
+        return
+    if not isinstance(seed, Integral):
+        raise InputError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")

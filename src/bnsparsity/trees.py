@@ -24,19 +24,22 @@ allocated once per call and does not grow with the number of permutations.
 test's oracle.
 
 Permutation i swaps the rows where ``default_rng(child).random(n) < 0.5``
-for child i of ``SeedSequence(seed).spawn(M)``. Those bits are derived
-without a generator per child: SeedSequence's hash runs over a block of
-children at once in uint32 arithmetic, and one PCG64 is set to each
-child's state, so every permutation and p-value is the one numpy's own
-spawn path gives.
+for child i of ``SeedSequence(seed).spawn(M)``, bit for bit, with no
+SeedSequence per child: the children's states are hashed a block at a time,
+in uint32 arithmetic, from the parent's mixed pool, and each seeds a PCG64
+through numpy's own seeding. ``random`` takes the top 53 bits of a raw
+64-bit output, so a draw is below 0.5 exactly when the raw output is below
+2**63; the raw outputs are compared in place in the swap buffer.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .covariance import (
     Dataset,
@@ -193,18 +196,13 @@ _MAX_CHUNK = 64
 # one chunk per batch; 2 MB gained another 6% at p = 60 but raised its
 # tracemalloc peak from 2.6 to 3.6 MB.
 _FOREST_BYTES = 1 << 20
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit multiplier; the raw output at which random() reaches 0.5;
-# the children whose seeds are hashed in one pass. A block's states are read
-# as Python ints, about 240 bytes a child: blocks of 1024 raised the
-# tracemalloc peak at p = 60, M = 999 by 0.2 MB, blocks of 256 by 0.04 MB.
-# From child 2**32 on, a spawn key takes two words, which the hash does not
-# cover.
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx); the
+# raw output at which random() reaches 0.5; the children whose seeds are
+# hashed in one pass. From child 2**32 on, a spawn key takes two words, which
+# the hash does not cover.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 _HALF = np.uint64(1 << 63)
 _STATE_BLOCK = 256
 _MAX_ITERATIONS = 1 << 32
@@ -406,45 +404,48 @@ def _child_states(entropy: int, lo: int, hi: int) -> np.ndarray:
     """``generate_state(4, np.uint64)`` of children lo..hi-1 of
     ``SeedSequence(entropy)``, hi <= 2**32, as a (hi - lo, 4) array.
 
-    This is numpy's SeedSequence hash in wrapping uint32 arithmetic, run
-    for every child of the block at once: a child's words are the entropy's,
-    padded with zeros to the pool size of 4, then its spawn key, one word.
-    Only that last word differs between children.
+    A child's words are the parent's entropy, padded with zeros to the pool
+    size of 4, then its spawn key, one word. The parent's own pool hashes
+    zeros for missing words too, so up to the spawn key a child's hash is
+    the parent's: it starts from the parent's mixed pool and from the hash
+    constant after the parent's 16 + 4 max(words - 4, 0) hashmix steps.
+    Only the spawn key and the output hash run here, for every child of the
+    block at once in wrapping uint32 arithmetic.
     """
-    words = [np.uint32(entropy >> shift & 0xFFFFFFFF)
-             for shift in range(0, max(entropy.bit_length(), 1), 32)]
-    words += [np.uint32(0)] * (4 - len(words))
-    words.append(np.arange(lo, hi, dtype=np.uint32))
-    hash_const = np.uint32(_INIT_A)
+    words = max(-(-entropy.bit_length() // 32), 1)
+    steps = 16 + 4 * max(words - 4, 0)
+    hash_const = np.uint32(_INIT_A * pow(_MULT_A, steps, 1 << 32) & 0xFFFFFFFF)
+    key = np.arange(lo, hi, dtype=np.uint32)
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * np.uint32(_MULT_A)
-        value = value * hash_const
+    def xorshift(value):
         return value ^ (value >> np.uint32(16))
 
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
     with np.errstate(over="ignore"):
-        pool = [hashmix(word) for word in words[:4]]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in words[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
+        pool = []
+        for word in np.random.SeedSequence(entropy).pool:
+            value = key ^ hash_const
+            hash_const = hash_const * np.uint32(_MULT_A)
+            value = xorshift(value * hash_const)
+            value = np.uint32(_MIX_MULT_L) * word - np.uint32(_MIX_MULT_R) * value
+            pool.append(xorshift(value))
         state = np.empty((hi - lo, 8), dtype=np.uint32)
         hash_const = np.uint32(_INIT_B)
         for k in range(8):
             value = pool[k % 4] ^ hash_const
             hash_const = hash_const * np.uint32(_MULT_B)
-            value = value * hash_const
-            state[:, k] = value ^ (value >> np.uint32(16))
+            state[:, k] = xorshift(value * hash_const)
     return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _ChildSeed(ISeedSequence):
+    """One child's hashed state, handed to PCG64's own seeding, which asks
+    for exactly these four uint64 words."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
 
 
 def _swap_vectors(m_iterations: int, seed: int | None, out: np.ndarray):
@@ -454,30 +455,16 @@ def _swap_vectors(m_iterations: int, seed: int | None, out: np.ndarray):
     the all-zero swap (the observed data), then for each child of
     ``SeedSequence(seed).spawn(m_iterations)`` the draw
     ``default_rng(child).random(n) < 0.5``, bit for bit.
-
-    No generator is built per child. The children's PCG64 seeds come from
-    ``_child_states`` a block at a time, and one PCG64 is set to each seed
-    by PCG64's own seeding formula. ``random`` takes the top 53 bits of a
-    raw 64-bit output, so a draw is below 0.5 exactly when the raw output
-    is below 2**63. Each batch's raw outputs are written into its swap
-    matrix and compared there in place.
     """
     batch, n = out.shape
     entropy = int(np.random.SeedSequence(seed).entropy)
-    bitgen = np.random.PCG64(0)
-    lcg = {}
-    state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
 
     def raw_draws():
         # the observed data: a raw output of 2**63 reads as no swap
         yield np.full(n, _HALF, dtype=np.uint64)
         for lo in range(0, m_iterations, _STATE_BLOCK):
-            hi = min(lo + _STATE_BLOCK, m_iterations)
-            for s_hi, s_lo, i_hi, i_lo in _child_states(entropy, lo, hi).tolist():
-                inc = lcg["inc"] = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-                lcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-                bitgen.state = state
-                yield bitgen.random_raw(n)
+            for state in _child_states(entropy, lo, min(lo + _STATE_BLOCK, m_iterations)):
+                yield np.random.PCG64(_ChildSeed(state)).random_raw(n)
 
     draws = raw_draws()
     for lo in range(0, m_iterations + 1, batch):
@@ -508,8 +495,8 @@ def paired_permutation_equality(
     Fixed seed gives an identical result; iteration seeds are derived
     independently, so iterations may be evaluated in any order. Permutation
     i swaps the rows where ``default_rng(child_i).random(n) < 0.5``, for
-    the children of ``SeedSequence(seed).spawn(m_iterations)``; M is below
-    2**32.
+    the children of ``SeedSequence(seed).spawn(m_iterations)``. M is an
+    integer below 2**32 and the seed a non-negative integer or None.
 
     A tree score is the total weight of a maximum spanning forest, which
     does not depend on how ties break, so no tree is fitted: swap-linear
@@ -520,17 +507,14 @@ def paired_permutation_equality(
     is built once and a batch takes one product with it: n p(p+1) flops a
     permutation. Above that, each chunk of permutations takes one product
     of swap-scaled rows: 2 n p^2 flops a permutation. Prim adds O(p^2),
-    its p - 1 steps shared by the batch, and the draw: the children's
-    seeds are hashed a block at a time and one reused PCG64 gives the same
-    bits as a generator per child at under a third of the cost of
-    ``default_rng`` (n = 500). The working set (1 MB of pair products or
-    of scaled rows, 1 MB of weights and swaps) is allocated once per call
-    and does not grow with M. The moments are taken about the pooled mean,
-    so their rounding error scales with the pooled variance: scores match
-    ``chow_liu`` refits to about 1e-14 relative unless one group's column
-    variance is orders of magnitude below the pooled one (heavy tails,
-    outliers). A column that a swap makes constant is left isolated; a
-    constant input column warns once per dataset.
+    its p - 1 steps shared by the batch. The working set (1 MB of pair
+    products or of scaled rows, 1 MB of weights and swaps) is allocated
+    once per call and does not grow with M. The moments are taken about
+    the pooled mean, so their rounding error scales with the pooled
+    variance: scores match ``chow_liu`` refits to about 1e-14 relative
+    unless one group's column variance is orders of magnitude below the
+    pooled one (heavy tails, outliers). A column that a swap makes constant
+    is left isolated; a constant input column warns once per dataset.
     """
     if data_a.values.shape != data_b.values.shape:
         raise InputError(
@@ -544,6 +528,8 @@ def paired_permutation_equality(
                     f"paired datasets must share one header: column {column} is "
                     f"{name_a!r} in the first and {name_b!r} in the second"
                 )
+    if not isinstance(m_iterations, Integral):
+        raise InputError(f"permutation iterations must be an integer, got {m_iterations!r}")
     m_iterations = int(m_iterations)
     if m_iterations < 99:
         raise InputError(f"need at least 99 permutation iterations, got {m_iterations}")

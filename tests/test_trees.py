@@ -141,8 +141,9 @@ def assert_matches_explicit_swaps(
     return pairs
 
 
-# one, two and seven entropy words, and the largest of one word
-DRAW_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 17, 20230712]
+# one to five and seven entropy words, and the largest of one word; from five
+# on, the parent pool takes four more hashmix steps a word
+DRAW_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 5, 2**128 + 1, 2**200 + 17, 20230712]
 
 
 class TestSwapDraws:
@@ -333,6 +334,11 @@ class TestPairedPermutation:
         a = Dataset(values=rng.standard_normal((30, 4)))
         with pytest.raises(InputError):
             paired_permutation_equality(a, a, m_iterations=50)
+        # a fractional M is refused, not truncated to 150 permutations
+        for m_iterations in (150.7, 150.0):
+            with pytest.raises(InputError, match="iterations must be an integer"):
+                paired_permutation_equality(a, a, m_iterations=m_iterations, seed=0)
+        assert paired_permutation_equality(a, a, m_iterations=np.int64(99)).m_iterations == 99
 
     @pytest.mark.parametrize("shape", [(2, 4), (30, 1)])
     def test_size_preconditions(self, rng, shape):
@@ -350,6 +356,12 @@ class TestPairedPermutation:
         a = Dataset(values=rng.standard_normal((30, 4)))
         with pytest.raises(InputError, match="seed must be non-negative"):
             paired_permutation_equality(a, a, m_iterations=99, seed=-1)
+        # refused as an input error before numpy's SeedSequence sees them
+        for seed in (1.5, 2.0, "3"):
+            with pytest.raises(InputError, match="seed must be an integer"):
+                paired_permutation_equality(a, a, m_iterations=99, seed=seed)
+        numpy_seed = paired_permutation_equality(a, a, m_iterations=99, seed=np.uint8(3))
+        assert numpy_seed.p_value == 1.0
 
     def test_refuses_spawn_keys_of_two_words(self, rng, monkeypatch):
         # child 2**32 would need a two-word spawn key, which the vectorized
