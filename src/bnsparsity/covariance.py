@@ -179,14 +179,15 @@ def sample_covariance(data: Dataset) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def center_columns(values: np.ndarray) -> np.ndarray:
-    """Columns minus their means, with constant columns exactly zero.
+def center_columns(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Columns minus their means, written into ``out`` if given, with
+    constant columns exactly zero.
 
     A constant whose mean rounds (0.1 at n = 60) would centre to a column of
     rounding noise (about 1e-17) that looks like an uncorrelated variable;
     constant columns are found by exact comparison instead.
     """
-    centered = values - values.mean(axis=0)
+    centered = np.subtract(values, values.mean(axis=0), out=out)
     centered[:, (values == values[0]).all(axis=0)] = 0.0
     return centered
 

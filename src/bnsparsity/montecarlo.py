@@ -307,8 +307,8 @@ def run_basic_simulation(
             raise InputError(f"model kind must be one of {MODEL_KINDS}, got {kind!r}")
     _check_run(n_values, p, threads)
     nabla = BASIC_TABLES[table]
-    if seed is None:
-        seed = fresh_seed()
+    # a Python int, so that the report's JSON takes a numpy-integer seed too
+    seed = fresh_seed() if seed is None else int(seed)
 
     def worker(task):
         kind_idx, rep = task
@@ -355,8 +355,8 @@ def run_power_study(
     check_test_options(alpha, form)
     check_seed(seed)
     _check_run(n_values, p, threads)
-    if seed is None:
-        seed = fresh_seed()
+    # a Python int, so that the report's JSON takes a numpy-integer seed too
+    seed = fresh_seed() if seed is None else int(seed)
 
     chain_set = power_chain(
         p=p,

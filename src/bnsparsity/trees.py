@@ -16,12 +16,11 @@ A tree's total weight does not depend on how ties break, so the test never
 fits trees: both groups' cross-products are linear in the swap vector. At
 small p (p <= 22 at n = 500) each row pair's change to them is precomputed,
 and a batch of permutations takes one product with that matrix, n p(p+1)
-flops a permutation; at larger p each chunk of permutations takes one
-product of swap-scaled rows, 2 n p^2 flops a permutation. One dense Prim
-totals the maximum spanning forests of the batch. The working set is
-allocated once per call and does not grow with the number of permutations.
-``chow_liu``, whose tie rule names edges, fits single trees and is the
-test's oracle.
+flops a permutation; at larger p each permutation multiplies only its
+swapped rows S, 2 |S| p^2 flops, about n p^2. One dense Prim totals a
+batch's maximum spanning forests. The working set is allocated once per call
+and does not grow with M. ``chow_liu``, whose tie rule names edges, fits
+single trees and is the test's oracle.
 
 Permutation i swaps the rows where ``default_rng(child).random(n) < 0.5``
 for child i of ``SeedSequence(seed).spawn(M)``, bit for bit, with no
@@ -111,10 +110,14 @@ class FittedTree:
         return dot_text("graph tree", "--", self.p, self.edges, names)
 
 
-def _centered_and_std(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    centered = center_columns(values)
+def _centered_and_std(values: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    centered = center_columns(values, out)
     with np.errstate(over="ignore"):
-        moments = representable_second_moments(centered, (centered * centered).mean(axis=0))
+        if out is None:
+            moments = (centered * centered).mean(axis=0)
+        else:  # summed in place, with no array of squares
+            moments = np.einsum("ij,ij->j", centered, centered) / len(values)
+        moments = representable_second_moments(centered, moments)
     return centered, np.sqrt(moments)
 
 
@@ -132,14 +135,15 @@ def _mi_from_centered(centered: np.ndarray, std: np.ndarray) -> np.ndarray:
     return mi
 
 
-def _checked_centering(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Centred columns and their standard deviations, after the size and
-    overflow checks of a tree fit; warns once per constant column."""
+def _checked_centering(data: Dataset, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Centred columns, in the (n, p) buffer ``out`` if one is given, and
+    their standard deviations, after the size and overflow checks of a tree
+    fit; warns once per constant column."""
     if data.n < 3:
         raise InputError(f"tree fitting needs n >= 3 samples, got {data.n}")
     if data.p < 2:
         raise InputError(f"tree fitting needs p >= 2 variables, got {data.p}")
-    centered, std = _centered_and_std(data.values)
+    centered, std = _centered_and_std(data.values, out)
     for idx in np.flatnonzero(std == 0.0):
         warnings.warn(
             f"column {data.names()[idx]!r} is constant; leaving its vertex isolated",
@@ -182,19 +186,13 @@ class PermutationTestResult(Record):
     permutation_statistics: list[float]
 
 
-# Bytes of the product operand: the n x p(p+1)/2 pair products where they
-# fit (p <= 22 at n = 500), else the swap-scaled rows of one product chunk.
-# A chunk takes at most _MAX_CHUNK permutations; it is also the block of the
-# mean products. A 2 MB budget was no faster and raised the peak RSS by
-# another 1.3 MB.
+# Bytes of the n x p(p+1)/2 pair products, built where they fit (p <= 22 at
+# n = 500; 2 MB was no faster, with 1.3 MB more peak RSS). A block of mean
+# products takes as many permutations as it holds (n, p) arrays, at most 64.
 _PRODUCT_BYTES = 1 << 20
-_MAX_CHUNK = 64
-# Bytes of one forest batch: both groups' (p, p) weights and the float swap
-# vector of each permutation in it. A batch is whole product chunks, at least
-# one, so Prim takes its p - 1 steps once per batch. At n = 500, M = 199 and
-# one BLAS thread, 1 MB ran p = 60 and p = 40 1.4x and p = 20 1.2x as fast as
-# one chunk per batch; 2 MB gained another 6% at p = 60 but raised its
-# tracemalloc peak from 2.6 to 3.6 MB.
+_MEAN_BLOCK = 64
+# Bytes of one forest batch, whose Prim takes its p - 1 steps once: both
+# groups' (p, p) weights and the float swap vector of each permutation.
 _FOREST_BYTES = 1 << 20
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx); the
 # raw output at which random() reaches 0.5; the children whose seeds are
@@ -303,28 +301,27 @@ class _SwapLinearMoments:
 
     Where P fits ``_PRODUCT_BYTES`` it is built once, and a batch's
     cross-products take one (k, n) x (n, p(p+1)/2) product, n p(p+1) flops
-    a permutation. Otherwise each chunk of permutations scales Delta's rows
-    and takes a (chunk p, n) x (n, p) product, 2 n p^2 flops a permutation.
-    The swap matrix, weights, sums and every other per-batch array are
-    allocated here, once, for the largest batch.
-    """
+    a permutation. Otherwise each permutation copies its swapped rows S of
+    [Delta | Sigma], which overwrite the (n, 2p) ``stacked``, and multiplies
+    them: 2 |S| p^2 flops, about n p^2. Every per-batch array is allocated
+    here, once, for the largest batch."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
+    def __init__(self, a: np.ndarray, b: np.ndarray, stacked: np.ndarray):
         self.n, self.p = n, p = a.shape
+        a_c, b_c = stacked[:, :p], stacked[:, p:]
         with np.errstate(over="ignore", invalid="ignore"):
             centre = a.mean(axis=0) / 2 + b.mean(axis=0) / 2
-            a_c = a - centre
-            b_c = b - centre
+            np.subtract(a, centre, out=a_c)
+            np.subtract(b, centre, out=b_c)
             finite_second_moments(
                 np.einsum("ij,ij->j", a_c, a_c) + np.einsum("ij,ij->j", b_c, b_c)
             )
         self.cross_a = a_c.T @ a_c
         self.cross_total = self.cross_a + b_c.T @ b_c
         self.sum_a = a_c.sum(axis=0)
-        # Sigma overwrites B, so that at most three (n, p) arrays are live
-        self.delta_t = np.subtract(b_c.T, a_c.T, order="C")
-        sigma = np.add(b_c, a_c, out=b_c)
-        del a_c
+        delta_t = np.subtract(b_c.T, a_c.T, order="C")
+        np.add(b_c, a_c, out=b_c)
+        a_c[...] = delta_t.T
 
         candidates = np.stack([a[0], b[0]])[:, None, :]
         miss_a = a[None] != candidates
@@ -336,25 +333,28 @@ class _SwapLinearMoments:
         self.miss_b = miss_b.sum(axis=1)
         self.miss_shift = (miss_b.astype(float) - miss_a).T
 
-        # a batch is whole chunks on either path, so that both paths lay the
-        # permutations out alike
-        self.chunk = max(1, min(_MAX_CHUNK, _PRODUCT_BYTES // (8 * n * p)))
-        self.batch = self.chunk * max(1, _FOREST_BYTES // (self.chunk * 8 * (2 * p * p + n)))
+        self.block = max(1, min(_MEAN_BLOCK, _PRODUCT_BYTES // (8 * n * p)))
+        self.batch = max(1, _FOREST_BYTES // (8 * (2 * p * p + n)))
         width = p * (p + 1) // 2
         if 8 * n * width <= _PRODUCT_BYTES:
-            self.pairs, self.pair_index = _pair_products(self.delta_t.T, sigma)
+            # whole blocks: this path's rounding depends on its batch layout
+            self.batch = self.block * max(1, self.batch // self.block)
+            self.pairs, self.pair_index = _pair_products(a_c, b_c)
             self.packed = np.empty((self.batch, width))
+            # C order, which the rounding of the sums' product depends on
+            self.delta_t = delta_t
         else:
+            del delta_t
             self.pairs = None
-            self.sigma = sigma
-            self.scaled = np.empty((self.chunk, p, n))
+            self.stacked, self.delta_t = stacked, a_c.T
+            self.selected = np.empty_like(stacked)
         self.swaps = np.empty((self.batch, n))
         # group A's weights in the first half, group B's in the second, which
-        # on the chunked path first holds the raw products
+        # on the swapped-rows path first holds the raw products
         self.weights = np.empty((2 * self.batch, p, p))
         self.sums = np.empty((2 * self.batch, p))
         self.constant = np.empty((2 * self.batch, p), dtype=bool)
-        self.mean_products = np.empty((self.chunk, p, p))
+        self.mean_products = np.empty((min(self.block, self.batch), p, p))
 
     def _constant(self, swaps: np.ndarray) -> np.ndarray:
         constant = self.constant[: 2 * len(swaps)]
@@ -366,10 +366,9 @@ class _SwapLinearMoments:
 
     def statistics(self, swaps: np.ndarray) -> np.ndarray:
         """Sum of the two groups' forest totals for each row of the (k, n)
-        0/1 ``swaps``, k at most ``batch``: one pair product for the batch,
-        or one product per chunk of rows, then mutual information and Prim
-        once over the whole batch."""
-        k, n, p, chunk = len(swaps), self.n, self.p, self.chunk
+        0/1 ``swaps``, k at most ``batch``: one pair product for the batch or
+        one product per permutation, then mutual information and Prim."""
+        k, n, p = len(swaps), self.n, self.p
         weights = self.weights[: 2 * k]
         cross_a, cross_b = weights[:k], weights[k:]
         sums = self.sums[: 2 * k]
@@ -379,15 +378,14 @@ class _SwapLinearMoments:
             np.take(packed, self.pair_index, axis=1, out=cross_a.reshape(k, p * p), mode="clip")
             np.matmul(swaps, self.delta_t.T, out=sums_a)
         else:
-            # products of the same shapes whatever k is, so that a
-            # permutation's score does not depend on the batch it falls in
-            for lo in range(0, k, chunk):
-                rows = swaps[lo : lo + chunk]
-                part = self.scaled[: len(rows)]
-                np.multiply(rows[:, None, :], self.delta_t, out=part)
-                out = cross_b[lo : lo + chunk].reshape(-1, p)
-                np.matmul(part.reshape(-1, n), self.sigma, out=out)
-                np.matmul(rows, self.delta_t.T, out=sums_a[lo : lo + chunk])
+            # each permutation alone, so that its score does not depend on
+            # the batch it falls in
+            np.matmul(swaps[:, None, :], self.delta_t.T, out=sums_a[:, None, :])
+            for swapped, raw in zip(swaps != 0.0, cross_b):
+                index = swapped.nonzero()[0]
+                rows = self.selected[: len(index)]
+                np.take(self.stacked, index, axis=0, out=rows, mode="clip")
+                np.matmul(rows[:, :p].T, rows[:, p:], out=raw)
             np.add(cross_b, cross_b.transpose(0, 2, 1), out=cross_a)
             cross_a *= 0.5
         cross_a += self.cross_a
@@ -503,18 +501,19 @@ def paired_permutation_equality(
     moments give both groups' cross-products for a batch of permutations,
     and one batched dense Prim totals the batch's forests. The observed
     statistic is the all-zero swap. Where the n x p(p+1)/2 matrix of every
-    row pair's cross-product change fits in 1 MB (p <= 22 at n = 500), it
-    is built once and a batch takes one product with it: n p(p+1) flops a
-    permutation. Above that, each chunk of permutations takes one product
-    of swap-scaled rows: 2 n p^2 flops a permutation. Prim adds O(p^2),
-    its p - 1 steps shared by the batch. The working set (1 MB of pair
-    products or of scaled rows, 1 MB of weights and swaps) is allocated
-    once per call and does not grow with M. The moments are taken about
-    the pooled mean, so their rounding error scales with the pooled
-    variance: scores match ``chow_liu`` refits to about 1e-14 relative
-    unless one group's column variance is orders of magnitude below the
-    pooled one (heavy tails, outliers). A column that a swap makes constant
-    is left isolated; a constant input column warns once per dataset.
+    row pair's cross-product change fits in 1 MB (p <= 22 at n = 500), it is
+    built once and a batch takes one product with it: n p(p+1) flops a
+    permutation. Above that, each permutation multiplies its swapped rows S
+    of the (n, 2p) differences and sums of the pairs: 2 |S| p^2 flops, about
+    n p^2. Prim adds O(p^2), its p - 1 steps shared by the batch. The
+    working set (1 MB of pair products or two (n, 2p) matrices, 1 MB of
+    weights and swaps) is allocated once per call and does not grow with M.
+    The moments are taken about the pooled mean, so their rounding error
+    scales with the pooled variance: scores match ``chow_liu`` refits to
+    about 1e-14 relative unless one group's column variance is orders of
+    magnitude below the pooled one (heavy tails, outliers). A column that a
+    swap makes constant is left isolated; a constant input column warns once
+    per dataset.
     """
     if data_a.values.shape != data_b.values.shape:
         raise InputError(
@@ -539,10 +538,11 @@ def paired_permutation_equality(
         )
     check_alpha(alpha)
     check_seed(seed)
-    for data in (data_a, data_b):
-        _checked_centering(data)
-
-    moments = _SwapLinearMoments(data_a.values, data_b.values)
+    stacked = np.empty((data_a.n, 2 * data_a.p))
+    _checked_centering(data_a, stacked[:, : data_a.p])
+    _checked_centering(data_b, stacked[:, data_a.p :])
+    moments = _SwapLinearMoments(data_a.values, data_b.values, stacked)
+    del stacked
     scores = []
     for swaps in _swap_vectors(m_iterations, seed, moments.swaps):
         scores.extend(moments.statistics(swaps).tolist())
@@ -553,5 +553,5 @@ def paired_permutation_equality(
         permutation_statistics=scores[1:],
         p_value=float((1 + exceed) / (m_iterations + 1)),
         m_iterations=m_iterations,
-        seed=seed,
+        seed=None if seed is None else int(seed),
     )

@@ -6,6 +6,7 @@ import signal
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from bnsparsity import (
@@ -317,13 +318,14 @@ class TestBasicSimulation:
         with pytest.raises(InputError):
             run_power_study(replicates_per_graph=50, seed=1, n_values=())
 
-    def test_report_serialization(self):
+    @pytest.mark.parametrize("seed", [3, np.int64(3), np.uint32(3)])
+    def test_report_serialization(self, seed):
         report = run_basic_simulation(
-            "sim1", replicates=50, seed=3, models=("A",), n_values=(12,), p=8
+            "sim1", replicates=50, seed=seed, models=("A",), n_values=(12,), p=8
         )
         parsed = json.loads(report.to_json())
         assert parsed["table"] == "sim1"
-        assert parsed["seed"] == 3
+        assert parsed["seed"] == 3 and type(report.seed) is int
         assert len(parsed["rows"]) == 1
         csv_text = report.to_csv()
         header, line = csv_text.strip().splitlines()
@@ -351,6 +353,14 @@ class TestPowerStudy:
             assert row.requested == 40  # 2 chains x 20 replicates
         # the base graph satisfies the null; late steps are far from it
         assert report.rows[-1].reject_fraction > base_row.reject_fraction
+
+    def test_numpy_integer_seed_writes_json(self):
+        kwargs = dict(replicates_per_graph=5, n_values=(30,), p=6, steps=1, chains=1)
+        report = run_power_study(seed=np.uint32(3), **kwargs)
+        assert type(report.seed) is int
+        assert json.loads(report.to_json()) == json.loads(
+            run_power_study(seed=3, **kwargs).to_json()
+        )
 
     def test_thread_invariance(self):
         kwargs = dict(

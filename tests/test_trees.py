@@ -83,23 +83,25 @@ def explicit_swaps(n, m_iterations, seed):
         yield np.random.default_rng(child).random(n) < 0.5
 
 
+def refit_statistic(a, b, swap):
+    """Both groups' chow_liu scores, summed, after swapping the rows of the
+    (n, p) arrays ``a`` and ``b`` that the 0/1 vector ``swap`` marks."""
+    swap = np.asarray(swap, dtype=bool)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit_a = chow_liu(Dataset(values=np.where(swap, b, a)))
+        fit_b = chow_liu(Dataset(values=np.where(swap, a, b)))
+    return fit_a.total_score + fit_b.total_score
+
+
 def explicit_swap_permutation(data_a, data_b, m_iterations, seed):
     """Oracle for paired_permutation_equality: swap the rows of each
     permutation explicitly and refit both trees with chow_liu. Returns the
     observed statistic, the permuted ones and the add-one p-value."""
-
-    def score(values_a, values_b):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = chow_liu(Dataset(values=values_a))
-            b = chow_liu(Dataset(values=values_b))
-        return a.total_score + b.total_score
-
     a, b = data_a.values, data_b.values
-    observed = score(a, b)
+    observed = refit_statistic(a, b, np.zeros(data_a.n))
     permuted = np.array([
-        score(np.where(swap[:, None], b, a), np.where(swap[:, None], a, b))
-        for swap in explicit_swaps(data_a.n, m_iterations, seed)
+        refit_statistic(a, b, swap) for swap in explicit_swaps(data_a.n, m_iterations, seed)
     ])
     exceed = np.count_nonzero(permuted >= observed)
     return observed, permuted, (1 + exceed) / (m_iterations + 1)
@@ -107,9 +109,10 @@ def explicit_swap_permutation(data_a, data_b, m_iterations, seed):
 
 def product_budgets(n, p):
     """``trees._PRODUCT_BYTES`` values that put an n x p pair on the pair
-    path (the n x p(p+1)/2 pair products just fit) and on the chunked path."""
+    path (the n x p(p+1)/2 pair products just fit) and on the swapped-rows
+    path."""
     pair_bytes = 8 * n * p * (p + 1) // 2
-    return {"pairs": pair_bytes, "chunked": pair_bytes - 1}
+    return {"pairs": pair_bytes, "rows": pair_bytes - 1}
 
 
 def assert_matches_explicit_swaps(
@@ -131,12 +134,12 @@ def assert_matches_explicit_swaps(
         np.testing.assert_allclose(result.permutation_statistics, permuted, rtol=rtol, atol=0.0)
         assert result.p_value == p_value
         results.append(result)
-    pairs, chunked = results
+    pairs, rows = results
     np.testing.assert_allclose(
-        pairs.observed_statistic, chunked.observed_statistic, rtol=path_rtol, atol=0.0
+        pairs.observed_statistic, rows.observed_statistic, rtol=path_rtol, atol=0.0
     )
     np.testing.assert_allclose(
-        pairs.permutation_statistics, chunked.permutation_statistics, rtol=path_rtol, atol=0.0
+        pairs.permutation_statistics, rows.permutation_statistics, rtol=path_rtol, atol=0.0
     )
     return pairs
 
@@ -420,13 +423,35 @@ class TestPairedPermutation:
         result = assert_matches_explicit_swaps(*same, m_iterations, seed, rtol, path_rtol)
         assert 0.01 < result.p_value < 1.0
 
+    @pytest.mark.parametrize("path", ["pairs", "rows"])
+    def test_no_row_one_row_and_every_row_swapped(self, monkeypatch, path):
+        # swaps that seeded draws all but never give: the swapped-rows path
+        # multiplies no row, one row and all n rows
+        rng = np.random.default_rng(12)
+        n, p = 40, 6
+        model = random_model("A", p, 1, rng=rng)
+        a, b = (sample_dataset(model, n, rng=rng).values for _ in range(2))
+        monkeypatch.setattr(trees, "_PRODUCT_BYTES", product_budgets(n, p)[path])
+        moments = trees._SwapLinearMoments(a, b, np.empty((n, 2 * p)))
+        assert (moments.pairs is not None) == (path == "pairs")
+        swaps = np.vstack([np.zeros(n), np.eye(n), np.ones(n)])
+        statistics = np.concatenate([
+            moments.statistics(swaps[lo : lo + moments.batch])
+            for lo in range(0, len(swaps), moments.batch)
+        ])
+        expected = [refit_statistic(a, b, swap) for swap in swaps]
+        np.testing.assert_allclose(statistics, expected, rtol=1e-12, atol=0.0)
+        # every row swapped exchanges the groups, which the sum does not see
+        np.testing.assert_allclose(statistics[-1], statistics[0], rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("m_iterations", [199, 1000])
     @pytest.mark.parametrize("p, n", [(10, 100), (60, 500)])
-    def test_forest_batches_match_one_chunk_per_batch(self, monkeypatch, p, n, m_iterations):
-        # On each product path. A forest batch holds several chunks. With no
-        # forest budget each batch is one chunk, one Prim per chunk. Chunks
-        # of at most 4 permutations keep several in a batch on both paths;
-        # then at p = 10 the first layout scores M = 199 in one partial batch.
+    def test_forest_batches_match_smallest_batches(self, monkeypatch, p, n, m_iterations):
+        # On each product path. With a 4 MB forest budget a batch holds at
+        # least two blocks of mean products (30 permutations at p = 60 on the
+        # pair path); with none, a batch is one block on the pair path and
+        # one permutation on the swapped-rows path. At p = 10 the first
+        # layout scores M + 1 in one partial batch on both paths.
         rng = np.random.default_rng(p)
         model = random_model("A", p, 1, rng=rng)
         data_a, data_b = (sample_dataset(model, n, rng=rng) for _ in range(2))
@@ -434,39 +459,47 @@ class TestPairedPermutation:
         calls = []
 
         def spy(self, swaps):
-            calls.append((len(swaps), self.chunk, self.pairs is not None))
+            calls.append((len(swaps), self.block, self.pairs is not None))
             return statistics(self, swaps)
 
         monkeypatch.setattr(trees._SwapLinearMoments, "statistics", spy)
-        monkeypatch.setattr(trees, "_MAX_CHUNK", 4)
         for path, budget in product_budgets(n, p).items():
             monkeypatch.setattr(trees, "_PRODUCT_BYTES", budget)
-            monkeypatch.setattr(trees, "_FOREST_BYTES", 1 << 20)
+            monkeypatch.setattr(trees, "_FOREST_BYTES", 4 << 20)
             calls.clear()
             batched = paired_permutation_equality(data_a, data_b, m_iterations, seed=p)
-            batch_sizes, chunk = [k for k, _, _ in calls], calls[0][1]
+            batch_sizes, block = [k for k, _, _ in calls], calls[0][1]
             assert all(on_pairs == (path == "pairs") for _, _, on_pairs in calls)
             calls.clear()
             monkeypatch.setattr(trees, "_FOREST_BYTES", 0)
-            chunked = paired_permutation_equality(data_a, data_b, m_iterations, seed=p)
+            smallest = paired_permutation_equality(data_a, data_b, m_iterations, seed=p)
 
-            # whole chunks per full batch, and a partial last batch
+            # full batches of one size (whole blocks on the pair path), and a
+            # partial last batch
             *full, last = batch_sizes
-            assert sum(batch_sizes) == m_iterations + 1 and batch_sizes[0] > chunk
-            assert all(k == full[0] and k % chunk == 0 for k in full)
-            assert (not full) == (p == 10 and m_iterations == 199)
-            assert not full or last < full[0]
-            assert all(k <= chunk for k, _, _ in calls) and len(calls) > len(batch_sizes)
+            assert sum(batch_sizes) == m_iterations + 1
+            assert all(k == batch_sizes[0] for k in full) and last <= batch_sizes[0]
+            assert (not full) == (p == 10)
+            assert path == "rows" or all(k % block == 0 for k in full)
+            assert all(k < batch_sizes[0] for k, _, _ in calls)
+            assert (path == "rows") == all(k == 1 for k, _, _ in calls)
+            for result in (batched, smallest):
+                assert len(result.permutation_statistics) == m_iterations
+            assert batched.p_value == smallest.p_value
+            if path == "rows":
+                # each permutation is scored alone, whatever its batch
+                assert batched.observed_statistic == smallest.observed_statistic
+                assert batched.permutation_statistics == smallest.permutation_statistics
+                continue
             np.testing.assert_allclose(
-                batched.observed_statistic, chunked.observed_statistic, rtol=1e-15, atol=0.0
+                batched.observed_statistic, smallest.observed_statistic, rtol=1e-15, atol=0.0
             )
             np.testing.assert_allclose(
-                batched.permutation_statistics, chunked.permutation_statistics,
+                batched.permutation_statistics, smallest.permutation_statistics,
                 rtol=1e-15, atol=0.0,
             )
-            assert batched.p_value == chunked.p_value
 
-    @pytest.mark.parametrize("path", ["pairs", "chunked"])
+    @pytest.mark.parametrize("path", ["pairs", "rows"])
     def test_batches_reuse_one_working_set(self, monkeypatch, path):
         # every full batch is drawn into the same swap matrix and scored in
         # the same weights buffer, allocated once for the call
@@ -545,9 +578,10 @@ class TestPairedPermutation:
 
     @pytest.mark.parametrize("m_iterations", [199, 999])
     def test_working_set_is_bounded(self, m_iterations):
-        # the pair products (p = 20) or the swap-scaled rows of a product
-        # chunk (p = 60), and the weights of a forest batch, are each held
-        # to 1 MB, so the peak (about 2.8 MB at p = 60) does not grow with M
+        # the pair products (p = 20), and the weights of a forest batch, are
+        # each held to 1 MB; at p = 60 Delta and Sigma and the buffer of one
+        # permutation's swapped rows take 0.5 MB each. The peak (about 2.4 MB
+        # at p = 60) does not grow with M
         for p in (20, 60):
             rng = np.random.default_rng(p)
             model = random_model("A", p, 1, rng=rng)
@@ -585,12 +619,14 @@ class TestPairedPermutation:
             rejections += result.p_value < 0.05
         assert rejections >= 24
 
-    def test_json_round_trip(self, rng):
+    @pytest.mark.parametrize("seed", [3, np.int64(3), np.uint32(3)])
+    def test_json_round_trip(self, rng, seed):
         a = Dataset(values=rng.standard_normal((20, 3)))
         b = Dataset(values=rng.standard_normal((20, 3)))
-        result = paired_permutation_equality(a, b, m_iterations=99, seed=3)
+        result = paired_permutation_equality(a, b, m_iterations=99, seed=seed)
         import json
 
         parsed = json.loads(result.to_json())
         assert parsed["p_value"] == result.p_value
         assert parsed["m_iterations"] == 99
+        assert parsed["seed"] == 3 and type(result.seed) is int
